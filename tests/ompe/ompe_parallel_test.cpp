@@ -3,6 +3,8 @@
 #include <cmath>
 #include <vector>
 
+#include "ppds/common/hex.hpp"
+#include "ppds/crypto/sha256.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
 
@@ -212,6 +214,38 @@ TEST(OmpeParallel, GenericSenderTranscriptBitIdenticalScalarVsSimd) {
   const Bytes simd = capture_generic_sender_reply(true, 5150);
   ASSERT_FALSE(scalar.empty());
   EXPECT_EQ(scalar, simd);
+}
+
+// ---------------------------------------------------------------------------
+// Golden transcripts: SHA-256 of the field-backend wire bytes, fixed across
+// eval_threads, ISA dispatch (the default run and PPDS_FORCE_SCALAR=1 must
+// both match) and refactors of the evaluators. A digest that changes means
+// the protocol transcript changed.
+
+std::string digest_hex(const Bytes& bytes) {
+  return to_hex(crypto::sha256(bytes));
+}
+
+TEST(OmpeTranscriptDigest, FieldReceiverRequest) {
+  for (unsigned threads : {1u, 8u}) {
+    EXPECT_EQ(digest_hex(capture_request(Backend::kField, threads, 31337)),
+              "dd9cc43194ea56fcbb8e5a3565db8ce52c443cdad38a13bb0305bf07ee6b43b1")
+        << "eval_threads " << threads;
+  }
+}
+
+TEST(OmpeTranscriptDigest, FieldSenderLinearReply) {
+  for (unsigned threads : {1u, 8u}) {
+    EXPECT_EQ(
+        digest_hex(capture_sender_reply(Backend::kField, threads, 424242)),
+        "c1851d9c5a9c00e9d56d03495d4679d620a4161d5efa3604bfcf619349c0ddd6")
+        << "eval_threads " << threads;
+  }
+}
+
+TEST(OmpeTranscriptDigest, FieldGenericSenderReply) {
+  EXPECT_EQ(digest_hex(capture_generic_sender_reply(true, 5150)),
+            "3a45991facbbcb52f7dc9048f9d167c599f7daa39736b55afa3479f1603d3b81");
 }
 
 double run_full(const math::MultiPoly& secret, const std::vector<double>& alpha,
