@@ -13,9 +13,9 @@
 ///    precomputed random polynomials; we print the measured ratio.
 ///
 /// A second section measures the SECURE engine's multi-query throughput:
-/// the sequential baseline (per-query Naor-Pinkas OT, no fixed-base
-/// acceleration — the pre-throughput-engine path) against the batched
-/// engine (amortized offline OT + fixed-base tables + session pool), with
+/// the sequential baseline (per-query Naor-Pinkas OT, one session, no
+/// offline phase) against the batched engine (amortized offline OT +
+/// session pool), both on the shared fixed-base-accelerated group, with
 /// the process-wide exponentiation counters bracketing each run. Results
 /// land in BENCH_classification.json (schema: docs/PERFORMANCE.md).
 ///
@@ -96,8 +96,8 @@ bench::Json secure_run_json(const SecureRun& run) {
 
 /// Which secure offline engine a throughput run exercises.
 enum class SecureMode {
-  kSequential,  ///< per-query Naor-Pinkas OT, no fixed-base tables (pre-PR-2)
-  kBatched,     ///< PR-2 amortized DH precompute + fixed-base tables
+  kSequential,  ///< per-query Naor-Pinkas OT, no offline phase
+  kBatched,     ///< amortized DH precompute
   kSilent,      ///< PPRF seed agreement + 16-byte correction staging
 };
 
@@ -119,7 +119,6 @@ SecureRun secure_throughput(std::size_t queries, SecureMode mode) {
   cfg.ompe.k = 2;
   cfg.ot_engine = batched ? core::OtEngine::kPrecomputed
                           : core::OtEngine::kNaorPinkas;
-  cfg.fixed_base_tables = batched;
   cfg.silent_precompute = mode == SecureMode::kSilent;
 
   const core::ClassificationServer server(model, profile, cfg);
@@ -131,11 +130,9 @@ SecureRun secure_throughput(std::size_t queries, SecureMode mode) {
     for (auto& v : s) v = setup_rng.uniform(-1.0, 1.0);
   }
 
-  if (batched) {
-    // The process-wide generator table is built once per group on first use;
-    // steady-state throughput should not bill that one-time cost to this run.
-    (void)crypto::shared_group(cfg.group).pow_g(mpz_class(3));
-  }
+  // The process-wide generator table is built once per group on first use;
+  // steady-state throughput should not bill that one-time cost to this run.
+  (void)crypto::shared_group(cfg.group).pow_g(mpz_class(3));
 
   crypto::reset_exp_counters();
   Stopwatch watch;
@@ -348,8 +345,8 @@ int main(int argc, char** argv) {
   // --- Secure-engine throughput: sequential vs batched vs silent ---
   bench::banner("Secure-engine multi-query throughput (kModp1024, linear)");
   bench::note(
-      "sequential = per-query Naor-Pinkas OT, no fixed-base tables; "
-      "batched = amortized offline OT + fixed-base tables + session pool; "
+      "sequential = per-query Naor-Pinkas OT; "
+      "batched = amortized offline OT + session pool; "
       "silent = PPRF seed agreement + correction staging");
 
   const bool with_reservoir = bench::has_flag(argc, argv, "--reservoir");

@@ -17,8 +17,6 @@
 #include "bench_util.hpp"
 #include "ppds/common/stopwatch.hpp"
 #include "ppds/common/thread_pool.hpp"
-#include "ppds/field/m61xn.hpp"
-#include "ppds/math/monomial.hpp"
 #include "ppds/math/multipoly.hpp"
 #include "ppds/math/vec.hpp"
 #include "ppds/net/party.hpp"
@@ -165,158 +163,6 @@ SweepResult linear_round(std::size_t arity, unsigned degree,
   return result;
 }
 
-/// One timed FIELD-backend linear round with the SIMD lane knob under test;
-/// q is the secure default so the cover/mask Horner chains have real depth.
-/// Reports best-of-reps per stage (not the mean): the scalar-vs-SIMD ratio
-/// is a property of the code, and minima shrug off scheduler noise on
-/// shared runners that averages fold straight into the speedup column.
-SweepResult field_round(std::size_t arity, bool use_simd,
-                        std::size_t reps) {
-  Rng rng(17 + arity);
-  std::vector<double> w(arity);
-  for (auto& v : w) v = rng.uniform(-1.0, 1.0);
-  const double b = rng.uniform(-1.0, 1.0);
-  std::vector<double> alpha(arity);
-  for (auto& v : alpha) v = rng.uniform(-1.0, 1.0);
-
-  ompe::OmpeParams params;
-  params.backend = ompe::Backend::kField;
-  params.use_simd_field = use_simd;
-  params.eval_threads = 1;  // isolate the lane speedup from threading
-
-  SweepResult result;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    ompe::reset_stage_counters();
-    Stopwatch watch;
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng srng(500 + rep);
-          crypto::LoopbackSender ot;
-          ompe::run_sender_linear(ch, w, b, params, ot, srng, 1);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rrng(600 + rep);
-          crypto::LoopbackReceiver ot;
-          return ompe::run_receiver(ch, alpha, 1, arity, params, ot, rrng);
-        });
-    benchmark::DoNotOptimize(outcome.b);
-    const double round = watch.millis();
-    const ompe::StageCounters stages = ompe::stage_counters();
-    if (rep == 0) {
-      result.round_ms = round;
-      result.stages = stages;
-      continue;
-    }
-    result.round_ms = std::min(result.round_ms, round);
-    result.stages.mask_eval_ns =
-        std::min(result.stages.mask_eval_ns, stages.mask_eval_ns);
-    result.stages.cover_eval_ns =
-        std::min(result.stages.cover_eval_ns, stages.cover_eval_ns);
-    result.stages.ot_ns = std::min(result.stages.ot_ns, stages.ot_ns);
-    result.stages.interp_ns =
-        std::min(result.stages.interp_ns, stages.interp_ns);
-  }
-  return result;
-}
-
-/// FIELD-backend round over the dense degree-p secret in n variables with
-/// the SIMD lane knob under test — the nonlinear mask shape, where the
-/// sender's sweep is the compiled monomial DAG rather than a linear dot.
-/// Best-of-reps per stage, like field_round.
-SweepResult field_dag_round(std::size_t n, unsigned p, bool use_simd,
-                            std::size_t reps) {
-  Rng rng(47 + n + p);
-  math::MultiPoly secret(n);
-  for (auto& exps : math::monomials_up_to(n, p)) {
-    secret.add_term(rng.uniform(-1.0, 1.0), std::move(exps));
-  }
-  secret.add_constant(rng.uniform(-1.0, 1.0));
-  std::vector<double> alpha(n);
-  for (auto& v : alpha) v = rng.uniform(-1.0, 1.0);
-
-  ompe::OmpeParams params;
-  params.backend = ompe::Backend::kField;
-  params.use_eval_dag = true;
-  params.use_simd_field = use_simd;
-  params.eval_threads = 1;
-  params.frac_bits = 8;  // degree-p field encoding needs f * (p + 1) < 61
-
-  SweepResult result;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    ompe::reset_stage_counters();
-    Stopwatch watch;
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng srng(700 + rep);
-          crypto::LoopbackSender ot;
-          ompe::run_sender(ch, secret, params, ot, srng);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rrng(800 + rep);
-          crypto::LoopbackReceiver ot;
-          return ompe::run_receiver(ch, alpha, secret.total_degree(), n,
-                                    params, ot, rrng);
-        });
-    benchmark::DoNotOptimize(outcome.b);
-    const double round = watch.millis();
-    const ompe::StageCounters stages = ompe::stage_counters();
-    if (rep == 0) {
-      result.round_ms = round;
-      result.stages = stages;
-      continue;
-    }
-    result.round_ms = std::min(result.round_ms, round);
-    result.stages.mask_eval_ns =
-        std::min(result.stages.mask_eval_ns, stages.mask_eval_ns);
-    result.stages.cover_eval_ns =
-        std::min(result.stages.cover_eval_ns, stages.cover_eval_ns);
-    result.stages.ot_ns = std::min(result.stages.ot_ns, stages.ot_ns);
-    result.stages.interp_ns =
-        std::min(result.stages.interp_ns, stages.interp_ns);
-  }
-  return result;
-}
-
-/// One timed generic-path round over the DENSE degree-p polynomial in n
-/// variables (every monomial up to total degree p), the shape the monomial
-/// evaluation DAG targets. `use_dag` toggles compiled-DAG vs naive
-/// power-ladder evaluation in the sender.
-double dense_round_ms(std::size_t n, unsigned p, bool use_dag,
-                      std::size_t reps) {
-  Rng rng(31 + n + p);
-  math::MultiPoly secret(n);
-  for (auto& exps : math::monomials_up_to(n, p)) {
-    secret.add_term(rng.uniform(-1.0, 1.0), std::move(exps));
-  }
-  secret.add_constant(rng.uniform(-1.0, 1.0));
-  std::vector<double> alpha(n);
-  for (auto& v : alpha) v = rng.uniform(-1.0, 1.0);
-
-  ompe::OmpeParams params;
-  params.use_eval_dag = use_dag;
-
-  Stopwatch watch;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng srng(300 + rep);
-          crypto::LoopbackSender ot;
-          ompe::run_sender(ch, secret, params, ot, srng);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rrng(400 + rep);
-          crypto::LoopbackReceiver ot;
-          return ompe::run_receiver(ch, alpha, secret.total_degree(), n,
-                                    params, ot, rrng);
-        });
-    benchmark::DoNotOptimize(outcome.b);
-  }
-  return watch.millis() / static_cast<double>(reps);
-}
-
 void run_engine_sweep(bool quick, bench::Json& report) {
   const std::size_t reps = quick ? 1 : 3;
 
@@ -362,109 +208,6 @@ void run_engine_sweep(bool quick, bench::Json& report) {
     }
   }
   report.set("linear_sweep", std::move(linear_rows));
-
-  bench::banner("OMPE field backend: scalar vs SIMD (M61x8) lane sweep");
-  bench::note(field::simd_caps().active);
-  std::printf("%8s | %10s %10s %7s | %10s %10s %7s\n", "arity", "mask sc",
-              "mask simd", "speedup", "cover sc", "cover simd", "speedup");
-  bench::rule(74);
-
-  auto simd_rows = bench::Json::array();
-  const std::vector<std::size_t> simd_arities =
-      quick ? std::vector<std::size_t>{1024}
-            : std::vector<std::size_t>{256, 1024, 16384};
-  // field_round reports best-of-reps, so more reps tighten the ratio
-  // instead of widening the noise window; rounds at these arities are
-  // cheap, so the extra reps cost little even in quick mode.
-  const std::size_t simd_reps = quick ? 5 : 11;
-  for (std::size_t arity : simd_arities) {
-    const SweepResult scalar = field_round(arity, /*use_simd=*/false, simd_reps);
-    const SweepResult simd = field_round(arity, /*use_simd=*/true, simd_reps);
-    const double mask_sc = ms(scalar.stages.mask_eval_ns);
-    const double mask_simd = ms(simd.stages.mask_eval_ns);
-    const double cover_sc = ms(scalar.stages.cover_eval_ns);
-    const double cover_simd = ms(simd.stages.cover_eval_ns);
-    std::printf("%8zu | %10.3f %10.3f %6.2fx | %10.3f %10.3f %6.2fx\n", arity,
-                mask_sc, mask_simd, mask_sc / mask_simd, cover_sc, cover_simd,
-                cover_sc / cover_simd);
-    auto row = bench::Json::object();
-    row.set("arity", static_cast<std::uint64_t>(arity));
-    row.set("simd_engine", field::simd_caps().active);
-    row.set("scalar_mask_ms", mask_sc);
-    row.set("simd_mask_ms", mask_simd);
-    row.set("mask_speedup", mask_sc / mask_simd);
-    row.set("scalar_cover_ms", cover_sc);
-    row.set("simd_cover_ms", cover_simd);
-    row.set("cover_speedup", cover_sc / cover_simd);
-    simd_rows.push(std::move(row));
-  }
-  // Nonlinear mask shapes: the sender sweep is the compiled monomial DAG
-  // (reduce -> DAG -> term combine as fused lane kernels) instead of the
-  // linear dot, over the dense degree-p secret in n variables.
-  std::printf("%8s | %10s %10s %7s | %10s %10s %7s\n", "dag n,p", "mask sc",
-              "mask simd", "speedup", "cover sc", "cover simd", "speedup");
-  bench::rule(74);
-  const std::vector<std::pair<std::size_t, unsigned>> dag_shapes =
-      quick ? std::vector<std::pair<std::size_t, unsigned>>{{8, 3}}
-            : std::vector<std::pair<std::size_t, unsigned>>{{8, 3}, {16, 4}};
-  for (auto [n, p] : dag_shapes) {
-    const SweepResult scalar =
-        field_dag_round(n, p, /*use_simd=*/false, simd_reps);
-    const SweepResult simd = field_dag_round(n, p, /*use_simd=*/true, simd_reps);
-    const double mask_sc = ms(scalar.stages.mask_eval_ns);
-    const double mask_simd = ms(simd.stages.mask_eval_ns);
-    const double cover_sc = ms(scalar.stages.cover_eval_ns);
-    const double cover_simd = ms(simd.stages.cover_eval_ns);
-    char label[16];
-    std::snprintf(label, sizeof(label), "%zu,%u", n, p);
-    std::printf("%8s | %10.3f %10.3f %6.2fx | %10.3f %10.3f %6.2fx\n", label,
-                mask_sc, mask_simd, mask_sc / mask_simd, cover_sc, cover_simd,
-                cover_sc / cover_simd);
-    auto row = bench::Json::object();
-    row.set("dag_n", static_cast<std::uint64_t>(n));
-    row.set("dag_p", static_cast<int>(p));
-    row.set("simd_engine", field::simd_caps().active);
-    row.set("scalar_mask_ms", mask_sc);
-    row.set("simd_mask_ms", mask_simd);
-    row.set("mask_speedup", mask_sc / mask_simd);
-    row.set("scalar_cover_ms", cover_sc);
-    row.set("simd_cover_ms", cover_simd);
-    row.set("cover_speedup", cover_sc / cover_simd);
-    simd_rows.push(std::move(row));
-  }
-  report.set("field_simd_sweep", std::move(simd_rows));
-
-  bench::banner("OMPE engine sweep: dense secrets, DAG vs naive evaluation");
-  std::printf("%4s %3s %8s | %12s %12s %8s\n", "n", "p", "terms", "naive ms",
-              "dag ms", "speedup");
-  bench::rule(56);
-
-  auto dag_rows = bench::Json::array();
-  const std::vector<std::pair<std::size_t, unsigned>> shapes =
-      quick ? std::vector<std::pair<std::size_t, unsigned>>{{8, 3}}
-            : std::vector<std::pair<std::size_t, unsigned>>{
-                  {4, 3}, {8, 3}, {8, 4}, {16, 3}, {16, 4}};
-  for (auto [n, p] : shapes) {
-    const double naive_ms = dense_round_ms(n, p, /*use_dag=*/false, reps);
-    const double dag_ms = dense_round_ms(n, p, /*use_dag=*/true, reps);
-    const std::uint64_t terms = [&] {
-      std::uint64_t total = 1;  // constant
-      for (unsigned d = 1; d <= p; ++d) total += math::monomial_count(n, d);
-      return total;
-    }();
-    std::printf("%4zu %3u %8llu | %12.3f %12.3f %7.2fx\n", n, p,
-                static_cast<unsigned long long>(terms), naive_ms, dag_ms,
-                naive_ms / dag_ms);
-    auto row = bench::Json::object();
-    row.set("n", static_cast<std::uint64_t>(n));
-    row.set("p", static_cast<int>(p));
-    row.set("terms", terms);
-    row.set("naive_ms", naive_ms);
-    row.set("dag_ms", dag_ms);
-    row.set("speedup", naive_ms / dag_ms);
-    dag_rows.push(std::move(row));
-  }
-  report.set("dag_sweep", std::move(dag_rows));
 }
 
 }  // namespace

@@ -52,8 +52,7 @@ struct ClassificationProfile {
   /// Batched transform, bit-identical per sample to transform(): sweeps the
   /// monomial DAG over blocks of eight samples in an SoA layout, turning
   /// the latency-bound per-sample multiply chain into eight independent
-  /// chains the compiler vectorizes. The batch query paths pick it when
-  /// SchemeConfig::ompe.use_simd_field is set.
+  /// chains the compiler vectorizes. The batch query paths always use it.
   std::vector<std::vector<double>> transform_batch(
       const std::vector<std::vector<double>>& samples) const;
 };

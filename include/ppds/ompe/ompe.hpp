@@ -64,20 +64,14 @@ struct OmpeParams {
   /// sender's M-point A(v, z) sweep and the receiver's M-point cover /
   /// disguise sweep). 0 = one task per hardware thread; 1 = run inline.
   /// Small workloads stay inline regardless — see docs/PERFORMANCE.md §1.4.
+  ///
+  /// The sweep engine is picked by the platform, not by a parameter:
+  /// generic (run_sender) secrets evaluate through the compiled monomial
+  /// DAG (math::CompiledMultiPoly), and the field-backend sweeps run on
+  /// packed Mersenne-61 lanes (field::M61x8) exactly when field::simd_caps()
+  /// selects the fused AVX2 kernels, else on the scalar sweeps. Both yield
+  /// the same bytes (pinned by tests/ompe/ompe_parallel_test.cpp).
   unsigned eval_threads = 0;
-
-  /// Evaluate generic (run_sender) secrets through the compiled monomial
-  /// DAG (math::CompiledMultiPoly) instead of naive per-term power walks.
-  /// Off is only useful for baseline benchmarks and equivalence tests.
-  bool use_eval_dag = true;
-
-  /// Run the field-backend point sweeps on packed Mersenne-61 lanes
-  /// (field::M61x8 — AVX2 when the CPU has it, bit-identical portable
-  /// kernels otherwise; see field/m61xn.hpp for the dispatch rules).
-  /// Transcripts are unchanged for every setting; off pins the scalar
-  /// reference path for A/B tests and benchmarks. Real-backend sweeps and
-  /// the naive (use_eval_dag = false) generic evaluator ignore it.
-  bool use_simd_field = true;
 
   /// Number of pairs the receiver keeps (polynomial degree p known).
   std::size_t m(unsigned p) const { return static_cast<std::size_t>(p) * q + 1; }

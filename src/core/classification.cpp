@@ -365,20 +365,9 @@ std::vector<double> ClassificationClient::query_values_batch(
     ot.prepare_receiver(channel, demand, samples.size());
     std::vector<double> out;
     out.reserve(samples.size());
-    if (config_.ompe.use_simd_field && !profile_.monomials.empty()) {
-      // Transform the whole batch up front through the SoA lane sweep
-      // (bit-identical per sample to transform()).
-      const std::vector<std::vector<double>> taus =
-          profile_.transform_batch(samples);
-      for (const auto& tau : taus) {
-        out.push_back(ompe::run_receiver(
-            channel, tau, profile_.declared_degree, profile_.poly_arity,
-            config_.ompe, ot.receiver(), rng));
-      }
-      return out;
-    }
-    for (const auto& sample : samples) {
-      const std::vector<double> tau = profile_.transform(sample);
+    // Transform the whole batch up front through the SoA lane sweep
+    // (bit-identical per sample to transform()).
+    for (const auto& tau : profile_.transform_batch(samples)) {
       out.push_back(ompe::run_receiver(channel, tau, profile_.declared_degree,
                                        profile_.poly_arity, config_.ompe,
                                        ot.receiver(), rng));

@@ -6,13 +6,7 @@ OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng)
     : cfg_(cfg), rng_(&rng) {
   const crypto::DhGroup* group = nullptr;
   if (cfg.ot_engine != OtEngine::kLoopback) {
-    if (cfg.fixed_base_tables) {
-      group = &crypto::shared_group(cfg.group);
-    } else {
-      owned_group_ =
-          std::make_unique<crypto::DhGroup>(cfg.group, /*fixed_base_tables=*/false);
-      group = owned_group_.get();
-    }
+    group = &crypto::shared_group(cfg.group);
   }
   switch (cfg.ot_engine) {
     case OtEngine::kNaorPinkas:
@@ -39,14 +33,6 @@ OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng)
       receiver_ = std::make_unique<crypto::LoopbackReceiver>();
       break;
   }
-}
-
-void OtBundle::prepare_sender(net::Endpoint& channel, std::size_t slots) {
-  if (batched_sender_ != nullptr) batched_sender_->reserve(channel, slots);
-}
-
-void OtBundle::prepare_receiver(net::Endpoint& channel, std::size_t slots) {
-  if (batched_receiver_ != nullptr) batched_receiver_->reserve(channel, slots);
 }
 
 namespace {
@@ -115,19 +101,12 @@ crypto::OtReceiver& OtBundle::receiver() {
   return *receiver_;
 }
 
-std::size_t ot_slots_per_query(const ompe::OmpeParams& params,
-                               unsigned degree) {
-  const std::size_t m = params.m(degree);
-  const std::size_t big_m = params.big_m(degree);
-  return crypto::PrecomputedOtSender::slots_for(big_m, m);
-}
-
 std::vector<OtDemand> ot_demand_per_query(const ompe::OmpeParams& params,
                                           unsigned degree) {
   const std::size_t m = params.m(degree);
   const std::size_t big_m = params.big_m(degree);
   if (big_m <= crypto::kMaxDirectArity) return {OtDemand{big_m, m}};
-  return {OtDemand{2, ot_slots_per_query(params, degree)}};
+  return {OtDemand{2, m * crypto::index_bits(big_m)}};
 }
 
 }  // namespace ppds::core

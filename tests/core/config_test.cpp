@@ -33,13 +33,21 @@ TEST(OmpeParams, CostModel) {
 }
 
 TEST(OtSlots, FormulaMatchesOtConstruction) {
+  // Past the direct bound, a k-out-of-n transfer runs k 1-out-of-n rounds of
+  // index_bits(n) arity-2 key transfers each.
+  EXPECT_EQ(crypto::index_bits(27), 5u);
+  EXPECT_EQ(crypto::index_bits(264), 9u);
   ompe::OmpeParams params;
-  params.q = 4;
-  params.k = 2;
-  // degree 1: m = 5, M = 10, ceil(log2 10) = 4 bits -> 20 slots.
-  EXPECT_EQ(ot_slots_per_query(params, 1), 5u * 4u);
-  // degree 4: m = 17, M = 34, 6 bits -> 102 slots.
-  EXPECT_EQ(ot_slots_per_query(params, 4), 17u * 6u);
+  params.q = 32;
+  params.k = 8;
+  // degree 1: m = 33, M = 264, ceil(log2 264) = 9 bits -> 297 slots.
+  auto d = ot_demand_per_query(params, 1);
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].count, 33u * 9u);
+  // degree 2: m = 65, M = 520, 10 bits -> 650 slots.
+  d = ot_demand_per_query(params, 2);
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].count, 65u * 10u);
 }
 
 TEST(OtDemand, DirectSlotsWhenArityFits) {
@@ -62,7 +70,7 @@ TEST(OtDemand, FallsBackToBitDecompositionWhenArityTooLarge) {
   const auto d = ot_demand_per_query(params, 1);
   ASSERT_EQ(d.size(), 1u);
   EXPECT_EQ(d[0].arity, 2u);
-  EXPECT_EQ(d[0].count, ot_slots_per_query(params, 1));
+  EXPECT_EQ(d[0].count, 33u * crypto::index_bits(264));
 }
 
 TEST(OtBundle, LoopbackReadyImmediately) {
@@ -109,7 +117,8 @@ TEST(OtBundle, PrepareIsNoOpForOtherEngines) {
   Rng rng(3);
   OtBundle bundle(SchemeConfig::fast_simulation(), rng);
   auto [a, b] = net::make_channel();
-  EXPECT_NO_THROW(bundle.prepare_sender(a, 100));
+  const std::vector<OtDemand> demand{{/*arity=*/2, /*count=*/100}};
+  EXPECT_NO_THROW(bundle.prepare_sender(a, demand));
   // No offline traffic was exchanged.
   EXPECT_EQ(a.stats().messages, 0u);
 }

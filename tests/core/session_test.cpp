@@ -31,15 +31,13 @@ TEST(ProtocolDigest, DeterministicAndParameterSensitive) {
 }
 
 TEST(ProtocolDigest, IgnoresLocalPerformanceKnobs) {
-  // eval_threads / use_eval_dag / fixed_base_tables never change wire bytes,
-  // so two parties with different settings must still agree on the digest.
+  // eval_threads never changes wire bytes, so two parties with different
+  // settings must still agree on the digest.
   const auto profile =
       ClassificationProfile::make(2, svm::Kernel::paper_polynomial(2));
   const auto cfg = SchemeConfig::fast_simulation();
   auto tuned = cfg;
   tuned.ompe.eval_threads = 1;
-  tuned.ompe.use_eval_dag = false;
-  tuned.fixed_base_tables = false;
   // The silent-OT tuning knobs are local too: the reservoir and its batch
   // sizes never change wire bytes (staging is sized by protocol constants).
   tuned.reservoir = true;

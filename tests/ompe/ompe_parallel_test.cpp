@@ -9,10 +9,11 @@
 #include "ppds/ompe/ompe.hpp"
 
 /// \file ompe_parallel_test.cpp
-/// The performance knobs in OmpeParams (eval_threads, use_eval_dag,
-/// use_simd_field) are LOCAL: they must never change a single wire byte.
-/// These tests pin that contract down bit for bit — run them under tsan to
-/// also race the worker pool against itself.
+/// eval_threads and the ISA dispatch of the field sweeps (M61x8 lanes under
+/// AVX2, scalar sweeps otherwise) are LOCAL: they must never change a single
+/// wire byte. These tests pin that contract down bit for bit — run them
+/// under tsan to also race the worker pool against itself, and with
+/// PPDS_FORCE_SCALAR=1 to take the scalar sweeps.
 
 namespace ppds::ompe {
 namespace {
@@ -32,11 +33,10 @@ std::vector<double> wide_alpha() {
 /// Captures the receiver's request bytes (the only message it sends before
 /// the OT) for a given thread setting.
 Bytes capture_request(Backend backend, unsigned eval_threads,
-                      std::uint64_t seed, bool use_simd_field = true) {
+                      std::uint64_t seed) {
   OmpeParams params;
   params.backend = backend;
   params.eval_threads = eval_threads;
-  params.use_simd_field = use_simd_field;
   const std::vector<double> alpha = wide_alpha();
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
@@ -98,11 +98,10 @@ Bytes canned_request(const OmpeParams& params, Backend backend) {
 }
 
 Bytes capture_sender_reply(Backend backend, unsigned eval_threads,
-                           std::uint64_t seed, bool use_simd_field = true) {
+                           std::uint64_t seed) {
   OmpeParams params;
   params.backend = backend;
   params.eval_threads = eval_threads;
-  params.use_simd_field = use_simd_field;
   std::vector<double> weights(kWideArity);
   for (std::size_t i = 0; i < weights.size(); ++i) {
     weights[i] = 0.01 * static_cast<double>(i % 31) - 0.15;
@@ -134,44 +133,13 @@ TEST(OmpeParallel, SenderTranscriptBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// use_simd_field: the packed M61 lane path (field/m61xn.hpp) must reproduce
-// the scalar sweeps bit for bit — on this host's best engine AND under every
-// eval_threads setting (lane blocks and scalar tails land differently per
-// chunking). Combined with the forced-scalar CI leg (PPDS_FORCE_SCALAR=1
-// reruns this whole binary on the portable kernels), this pins transcripts
-// across scalar, portable-lane, and vector-lane execution.
-
-TEST(OmpeParallel, ReceiverTranscriptBitIdenticalScalarVsSimd) {
-  for (unsigned threads : {1u, 8u}) {
-    const Bytes scalar =
-        capture_request(Backend::kField, threads, 31337, /*use_simd_field=*/false);
-    const Bytes simd =
-        capture_request(Backend::kField, threads, 31337, /*use_simd_field=*/true);
-    ASSERT_FALSE(scalar.empty());
-    EXPECT_EQ(scalar, simd) << "eval_threads " << threads;
-  }
-}
-
-TEST(OmpeParallel, SenderTranscriptBitIdenticalScalarVsSimd) {
-  for (unsigned threads : {1u, 8u}) {
-    const Bytes scalar = capture_sender_reply(Backend::kField, threads, 424242,
-                                              /*use_simd_field=*/false);
-    const Bytes simd = capture_sender_reply(Backend::kField, threads, 424242,
-                                            /*use_simd_field=*/true);
-    ASSERT_FALSE(scalar.empty());
-    EXPECT_EQ(scalar, simd) << "eval_threads " << threads;
-  }
-}
-
-/// The generic (run_sender) path evaluates P(z) through
-/// CompiledMultiPoly::evaluate_lanes when lanes are on; its reply must match
-/// the scalar evaluate_with sweep byte for byte too.
-Bytes capture_generic_sender_reply(bool use_simd_field, std::uint64_t seed) {
+/// The generic (run_sender) path evaluates P(z) through the fused lane
+/// kernels under AVX2 and through CompiledMultiPoly::evaluate_with
+/// otherwise; both must produce the same reply bytes.
+Bytes capture_generic_sender_reply(std::uint64_t seed) {
   OmpeParams params;
   params.backend = Backend::kField;
   params.frac_bits = 12;
-  params.use_simd_field = use_simd_field;
   math::MultiPoly secret(3);
   secret.add_term(0.5, {2, 1, 0});
   secret.add_term(-1.25, {0, 0, 3});
@@ -209,13 +177,6 @@ Bytes capture_generic_sender_reply(bool use_simd_field, std::uint64_t seed) {
   return outcome.b;
 }
 
-TEST(OmpeParallel, GenericSenderTranscriptBitIdenticalScalarVsSimd) {
-  const Bytes scalar = capture_generic_sender_reply(false, 5150);
-  const Bytes simd = capture_generic_sender_reply(true, 5150);
-  ASSERT_FALSE(scalar.empty());
-  EXPECT_EQ(scalar, simd);
-}
-
 // ---------------------------------------------------------------------------
 // Golden transcripts: SHA-256 of the field-backend wire bytes, fixed across
 // eval_threads, ISA dispatch (the default run and PPDS_FORCE_SCALAR=1 must
@@ -244,7 +205,7 @@ TEST(OmpeTranscriptDigest, FieldSenderLinearReply) {
 }
 
 TEST(OmpeTranscriptDigest, FieldGenericSenderReply) {
-  EXPECT_EQ(digest_hex(capture_generic_sender_reply(true, 5150)),
+  EXPECT_EQ(digest_hex(capture_generic_sender_reply(5150)),
             "3a45991facbbcb52f7dc9048f9d167c599f7daa39736b55afa3479f1603d3b81");
 }
 
@@ -266,9 +227,11 @@ double run_full(const math::MultiPoly& secret, const std::vector<double>& alpha,
   return outcome.b;
 }
 
-TEST(OmpeParallel, DagEvaluatorMatchesNaiveExactlyOnFieldBackend) {
-  // Field arithmetic is exact, so flipping use_eval_dag must reproduce the
-  // IDENTICAL decoded result, not merely a close one.
+TEST(OmpeParallel, DagEvaluatorExactOnFieldBackend) {
+  // Field arithmetic is exact: on inputs and coefficients that sit on the
+  // fixed-point grid, the DAG-evaluated protocol result must equal the
+  // plain evaluation exactly, not merely closely. (The naive-evaluation
+  // oracle lives in tests/math/multipoly_test.cpp.)
   math::MultiPoly p(3);
   p.add_term(0.5, {2, 1, 0});
   p.add_term(-1.25, {0, 0, 3});
@@ -280,29 +243,19 @@ TEST(OmpeParallel, DagEvaluatorMatchesNaiveExactlyOnFieldBackend) {
   // Degree 3 harmonizes the constant term to scale 2^{f*(3+1)}: f = 12
   // keeps every encoded coefficient inside the field.
   params.frac_bits = 12;
-  params.use_eval_dag = true;
-  const double with_dag = run_full(p, alpha, params, 4242);
-  params.use_eval_dag = false;
-  const double naive = run_full(p, alpha, params, 4242);
-  EXPECT_EQ(with_dag, naive);
-  EXPECT_NEAR(with_dag, p.evaluate(alpha), 1e-2);
+  EXPECT_EQ(run_full(p, alpha, params, 4242), p.evaluate(alpha));
 }
 
-TEST(OmpeParallel, DagEvaluatorMatchesNaiveOnRealBackend) {
+TEST(OmpeParallel, DagEvaluatorMatchesPlainOnRealBackend) {
   math::MultiPoly p(2);
   p.add_term(0.5, {2, 2});
   p.add_term(2.0, {1, 1});
   p.add_term(-1.5, {2, 0});
   p.add_constant(-0.3);
   const std::vector<double> alpha{0.7, -1.3};
-  OmpeParams params;
-  params.use_eval_dag = true;
-  const double with_dag = run_full(p, alpha, params, 868);
-  params.use_eval_dag = false;
-  const double naive = run_full(p, alpha, params, 868);
   const double expect = p.evaluate(alpha);
-  EXPECT_NEAR(with_dag, expect, 1e-6 + 1e-3 * std::abs(expect));
-  EXPECT_NEAR(naive, expect, 1e-6 + 1e-3 * std::abs(expect));
+  EXPECT_NEAR(run_full(p, alpha, OmpeParams{}, 868), expect,
+              1e-6 + 1e-3 * std::abs(expect));
 }
 
 TEST(OmpeParallel, StageCountersCountProtocolElementsExactly) {
