@@ -329,6 +329,41 @@ TEST(PrecomputedEngine, KOutOfNMatchesMessages) {
   EXPECT_EQ(outcome.a, 0u);  // exactly sized pool fully consumed
 }
 
+// Past kMaxDirectArity a k-out-of-n transfer costs k * index_bits(n)
+// arity-2 slots: reserving exactly that many must leave the pool empty,
+// with no auto-refill.
+TEST(PrecomputedEngine, SlotsForFormula) {
+  EXPECT_EQ(index_bits(1), 0u);
+  EXPECT_EQ(index_bits(2), 1u);
+  EXPECT_EQ(index_bits(3), 2u);
+  EXPECT_EQ(index_bits(8), 3u);
+  EXPECT_EQ(index_bits(9), 4u);
+  const std::size_t n = 300, k = 3;
+  const std::size_t slots = k * index_bits(n);
+  ASSERT_EQ(slots, 3u * 9u);
+  const auto msgs = make_messages(n, 4);
+  auto outcome = net::run_two_party(
+      [&](net::Endpoint& ch) {
+        Rng rng(63);
+        BatchedOtSender s(test_group(), rng);
+        s.reserve(ch, slots);
+        s.send(ch, msgs, k);
+        return s.remaining(2);
+      },
+      [&](net::Endpoint& ch) {
+        Rng rng(64);
+        BatchedOtReceiver r(test_group(), rng);
+        r.reserve(ch, slots);
+        const std::vector<std::size_t> want{0, 150, 299};
+        return r.receive(ch, want, n, 4);
+      });
+  EXPECT_EQ(outcome.a, 0u);
+  ASSERT_EQ(outcome.b.size(), k);
+  EXPECT_EQ(outcome.b[0], msgs[0]);
+  EXPECT_EQ(outcome.b[1], msgs[150]);
+  EXPECT_EQ(outcome.b[2], msgs[299]);
+}
+
 TEST(PrecomputedEngine, MultipleTransfersFromOnePool) {
   const auto msgs = make_messages(6, 16);
   auto outcome = net::run_two_party(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "ppds/svm/smo.hpp"
@@ -114,6 +115,11 @@ struct AccuracyCase {
   double lin_lo, lin_hi;
   double poly_lo, poly_hi;
 };
+
+// Without a printer gtest lists the parameter as raw bytes, name pointer
+// included, so the listed test names would change with the address-space
+// layout of every run.
+void PrintTo(const AccuracyCase& c, std::ostream* os) { *os << c.name; }
 
 class Table1Calibration : public ::testing::TestWithParam<AccuracyCase> {};
 

@@ -227,11 +227,10 @@ double run_full(const math::MultiPoly& secret, const std::vector<double>& alpha,
   return outcome.b;
 }
 
-TEST(OmpeParallel, DagEvaluatorExactOnFieldBackend) {
+TEST(OmpeParallel, DagEvaluatorMatchesNaiveExactlyOnFieldBackend) {
   // Field arithmetic is exact: on inputs and coefficients that sit on the
   // fixed-point grid, the DAG-evaluated protocol result must equal the
-  // plain evaluation exactly, not merely closely. (The naive-evaluation
-  // oracle lives in tests/math/multipoly_test.cpp.)
+  // naive term-walk MultiPoly::evaluate exactly, not merely closely.
   math::MultiPoly p(3);
   p.add_term(0.5, {2, 1, 0});
   p.add_term(-1.25, {0, 0, 3});
@@ -246,7 +245,7 @@ TEST(OmpeParallel, DagEvaluatorExactOnFieldBackend) {
   EXPECT_EQ(run_full(p, alpha, params, 4242), p.evaluate(alpha));
 }
 
-TEST(OmpeParallel, DagEvaluatorMatchesPlainOnRealBackend) {
+TEST(OmpeParallel, DagEvaluatorMatchesNaiveOnRealBackend) {
   math::MultiPoly p(2);
   p.add_term(0.5, {2, 2});
   p.add_term(2.0, {1, 1});
