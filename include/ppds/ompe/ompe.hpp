@@ -65,12 +65,12 @@ struct OmpeParams {
   /// disguise sweep). 0 = one task per hardware thread; 1 = run inline.
   /// Small workloads stay inline regardless — see docs/PERFORMANCE.md §1.4.
   ///
-  /// The sweep engine is picked by the platform, not by a parameter:
-  /// generic (run_sender) secrets evaluate through the compiled monomial
-  /// DAG (math::CompiledMultiPoly), and the field-backend sweeps run on
-  /// packed Mersenne-61 lanes (field::M61x8) exactly when field::simd_caps()
-  /// selects the fused AVX2 kernels, else on the scalar sweeps. Both yield
-  /// the same bytes (pinned by tests/ompe/ompe_parallel_test.cpp).
+  /// There is one sweep engine and no parameter for it: generic
+  /// (run_sender) secrets evaluate through the compiled monomial DAG
+  /// (math::CompiledMultiPoly), and the field-backend sweeps run on packed
+  /// Mersenne-61 lanes (field::M61x8), whose kernels field::simd_caps()
+  /// dispatches to AVX2, NEON or portable code. Every dispatch yields the
+  /// same bytes (pinned by tests/ompe/ompe_parallel_test.cpp).
   unsigned eval_threads = 0;
 
   /// Number of pairs the receiver keeps (polynomial degree p known).

@@ -28,17 +28,6 @@ using field::M61x8;
 constexpr std::uint8_t kMsgVersion = 1;
 constexpr std::size_t kHeaderBytes = 1 + 1 + 4 + 8 + 8 + 8;
 
-/// Whether the field-backend point sweeps run on M61x8 lanes: exactly when
-/// the dispatch runs the fused AVX2 kernels, which beat the scalar sweeps
-/// on every shape. The portable lanes (forced scalar dispatch, or a CPU
-/// without AVX2) are not uniformly faster than the scalar sweeps and NEON
-/// has no fused kernels, so every other dispatch keeps the scalar sweeps
-/// (docs/PERFORMANCE.md §1.7). Both produce identical bytes.
-bool lane_sweeps() {
-  const field::SimdCaps& caps = field::simd_caps();
-  return caps.avx2_compiled && caps.avx2_runtime && !caps.forced_scalar;
-}
-
 // ---------------------------------------------------------------------------
 // Stage counters (mirrors crypto::exp_counters): process-wide atomics fed by
 // scoped timers, so benches attribute protocol cost without a profiler.
@@ -503,9 +492,8 @@ struct LaneScratch {
 /// raw words exactly like the reducing M61 constructor; fused kernels such
 /// as field::dot8_reduce_strided walk the records in place inside one
 /// dispatched call) — and ws is a per-task LaneScratch workspace. Lane l of
-/// its result must equal eval_field at point l bit for bit; it is only
-/// invoked when lane_sweeps() holds, and the block tail always falls back
-/// to the scalar evaluator.
+/// its result must equal eval_field at point l bit for bit; the block tail
+/// (fewer than eight points) falls back to the scalar evaluator.
 template <typename EvalReal, typename EvalField, typename EvalField8>
 void run_sender_impl(net::Endpoint& channel, std::size_t arity,
                      unsigned actual_degree, unsigned declared_degree,
@@ -588,29 +576,12 @@ void run_sender_impl(net::Endpoint& channel, std::size_t arity,
         h_coeffs[i] = random_field_element(rng);
       }
       const math::Poly<M61> h(std::move(h_coeffs));
-      const bool lanes = lane_sweeps();
       for_each_chunk(big_m, tasks, [&](std::size_t begin, std::size_t end) {
-        const auto scalar_run = [&](std::size_t from, std::size_t to) {
-          std::vector<M61> z(arity);
-          std::vector<M61> scratch;
-          for (std::size_t i = from; i < to; ++i) {
-            const std::span<const std::uint8_t> pair = body.subspan(i * stride, stride);
-            const M61 v(load_le64(pair.data()));
-            for (std::size_t j = 0; j < arity; ++j) {
-              z[j] = M61(load_le64(pair.subspan(8 + 8 * j, 8).data()));
-            }
-            values[i] = encode_value_field(h(v) + eval_field(std::span<const M61>(z), scratch));
-          }
-        };
-        if (!lanes) {
-          scalar_run(begin, end);
-          return;
-        }
-        // Lane path: eight disguised points per step. The raw node/z words
-        // are folded exactly like the reducing M61 constructor — inside the
-        // fused strided kernels, so the chains stay in vector registers and
-        // the wire records are walked in place — and h is the same Horner
-        // chain on lanes, so every lane reproduces the scalar bytes exactly.
+        // Eight disguised points per step. The raw node/z words are folded
+        // exactly like the reducing M61 constructor — inside the fused
+        // strided kernels, so the chains stay in vector registers and the
+        // wire records are walked in place — and h is the same Horner chain
+        // on lanes, so every lane reproduces the scalar bytes exactly.
         const std::vector<M61>& hc = h.coeffs();
         LaneScratch scratch8;
         std::uint64_t raw[kM61Lanes];
@@ -628,7 +599,17 @@ void run_sender_impl(net::Endpoint& channel, std::size_t arity,
             values[i0 + lane] = encode_value_field(M61(w8.v[lane]));
           }
         }
-        scalar_run(i0, end);
+        // Block tail: the scalar evaluator, same bytes.
+        std::vector<M61> z(arity);
+        std::vector<M61> scratch;
+        for (; i0 < end; ++i0) {
+          const std::span<const std::uint8_t> pair = body.subspan(i0 * stride, stride);
+          const M61 v(load_le64(pair.data()));
+          for (std::size_t j = 0; j < arity; ++j) {
+            z[j] = M61(load_le64(pair.subspan(8 + 8 * j, 8).data()));
+          }
+          values[i0] = encode_value_field(h(v) + eval_field(std::span<const M61>(z), scratch));
+        }
       });
     }
   }
@@ -917,42 +898,16 @@ double run_receiver(net::Endpoint& channel,
     const std::vector<M61> nodes = field_nodes(rng, big_m);
     const Secret<std::uint64_t> disguise_seed(rng());
 
-    const bool lanes = lane_sweeps();
     const std::size_t tasks = plan_tasks(params.eval_threads, big_m, arity + 1);
     for_each_chunk(big_m, tasks, [&](std::size_t begin, std::size_t end) {
-      const auto scalar_run = [&](std::size_t from, std::size_t to) {
-        for (std::size_t i = from; i < to; ++i) {
-          const std::span<std::uint8_t> slot = body.subspan(i * stride, stride);
-          const M61 v = nodes[i];
-          store_le64(slot.data(), v.value());
-          if (is_kept[i]) {
-            for (std::size_t j = 0; j < arity; ++j) {
-              const std::size_t base = j * (cq + 1);
-              M61 acc = covers[base + cq];
-              for (std::size_t l = cq; l-- > 0;) acc = acc * v + covers[base + l];
-              store_le64(slot.subspan(8 + 8 * j, 8).data(), acc.value());
-            }
-          } else {
-            Rng point_rng(splitmix64(disguise_seed.value(), i));
-            for (std::size_t j = 0; j < arity; ++j) {
-              store_le64(slot.subspan(8 + 8 * j, 8).data(),
-                         random_field_element(point_rng).value());
-            }
-          }
-        }
-      };
-      if (!lanes) {
-        scalar_run(begin, end);
-        return;
-      }
-      // Lane path, first pass: every point gets its node and a full
-      // disguise tuple with no branch on the kept set (the per-point
-      // SplitMix64 streams are independent, so drawing disguises for kept
-      // points too leaves all non-kept bytes unchanged; kept slots are
-      // overwritten by the packed cover sweep below). The extra draws cost
-      // only the kept fraction of the rng work, unlike evaluating the
-      // cover Horner on all M points would — and the eight per-point
-      // streams of a block advance lane-parallel inside disguise_block.
+      // First pass: every point gets its node and a full disguise tuple with
+      // no branch on the kept set (the per-point SplitMix64 streams are
+      // independent, so drawing disguises for kept points too leaves all
+      // non-kept bytes unchanged; kept slots are overwritten by the packed
+      // cover sweep below). The extra draws cost only the kept fraction of
+      // the rng work, unlike evaluating the cover Horner on all M points
+      // would — and the eight per-point streams of a block advance
+      // lane-parallel inside disguise_block.
       std::uint64_t seeds[kM61Lanes];
       std::uint8_t* dptrs[kM61Lanes];
       std::size_t i0 = begin;
@@ -984,35 +939,32 @@ double run_receiver(net::Endpoint& channel,
         kept_idx.push_back(i);
       }
     }
-    if (lanes) {
-      // Lane path, second pass: the m kept points packed eight per block.
-      // The fused scatter kernel runs the cover Horner on lanes and stores
-      // lane l's evaluations straight into record kept_idx[b + l], exactly
-      // the bytes the scalar path writes in its kept branch. Points left
-      // over from a partial block lane over the arity cover groups instead
-      // (horner_groups), so no point ever pays a scalar sweep.
-      const std::size_t ktasks =
-          plan_tasks(params.eval_threads, kept_idx.size(), arity + 1);
-      for_each_chunk(
-          kept_idx.size(), ktasks, [&](std::size_t begin, std::size_t end) {
-            std::uint8_t* ptrs[kM61Lanes];
-            std::size_t b = begin;
-            for (; b + kM61Lanes <= end; b += kM61Lanes) {
-              M61x8 v8;
-              for (std::size_t lane = 0; lane < kM61Lanes; ++lane) {
-                const std::size_t i = kept_idx[b + lane];
-                v8.v[lane] = nodes[i].value();
-                ptrs[lane] = body.subspan(i * stride + 8).data();
-              }
-              field::horner8_scatter(covers.data(), cq + 1, arity, v8, ptrs);
+    // Second pass: the m kept points packed eight per block. The fused
+    // scatter kernel runs the cover Horner on lanes and stores lane l's
+    // evaluations straight into record kept_idx[b + l]. Points left over
+    // from a partial block lane over the arity cover groups instead
+    // (horner_groups), so no point ever pays a scalar sweep.
+    const std::size_t ktasks =
+        plan_tasks(params.eval_threads, kept_idx.size(), arity + 1);
+    for_each_chunk(
+        kept_idx.size(), ktasks, [&](std::size_t begin, std::size_t end) {
+          std::uint8_t* ptrs[kM61Lanes];
+          std::size_t b = begin;
+          for (; b + kM61Lanes <= end; b += kM61Lanes) {
+            M61x8 v8;
+            for (std::size_t lane = 0; lane < kM61Lanes; ++lane) {
+              const std::size_t i = kept_idx[b + lane];
+              v8.v[lane] = nodes[i].value();
+              ptrs[lane] = body.subspan(i * stride + 8).data();
             }
-            for (; b < end; ++b) {
-              const std::size_t i = kept_idx[b];
-              field::horner_groups(covers.data(), cq + 1, arity, nodes[i],
-                                   body.subspan(i * stride + 8).data());
-            }
-          });
-    }
+            field::horner8_scatter(covers.data(), cq + 1, arity, v8, ptrs);
+          }
+          for (; b < end; ++b) {
+            const std::size_t i = kept_idx[b];
+            field::horner_groups(covers.data(), cq + 1, arity, nodes[i],
+                                 body.subspan(i * stride + 8).data());
+          }
+        });
   }
   channel.set_stage(net::Stage::kOmpeRequest);
   channel.send(PPDS_DECLASSIFY(

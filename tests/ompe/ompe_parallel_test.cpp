@@ -9,11 +9,12 @@
 #include "ppds/ompe/ompe.hpp"
 
 /// \file ompe_parallel_test.cpp
-/// eval_threads and the ISA dispatch of the field sweeps (M61x8 lanes under
-/// AVX2, scalar sweeps otherwise) are LOCAL: they must never change a single
-/// wire byte. These tests pin that contract down bit for bit — run them
-/// under tsan to also race the worker pool against itself, and with
-/// PPDS_FORCE_SCALAR=1 to take the scalar sweeps.
+/// eval_threads and the ISA dispatch of the M61x8 lane kernels (AVX2, NEON
+/// or portable) are LOCAL: they must never change a single wire byte. These
+/// tests pin that contract down bit for bit — run them under tsan to also
+/// race the worker pool against itself, and with PPDS_FORCE_SCALAR=1 to take
+/// the portable lane kernels (ctest registers that run as
+/// OmpeForcedScalarDispatch).
 
 namespace ppds::ompe {
 namespace {
