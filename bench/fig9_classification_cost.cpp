@@ -185,27 +185,23 @@ OfflineRaw offline_reserve(std::size_t slots, bool silent,
   (void)group.pow_g(mpz_class(3));  // one-time generator table, off the bill
   std::optional<crypto::PadReservoir> reservoir;
   if (silent && with_reservoir) reservoir.emplace(1);
+  const crypto::OtOffline offline =
+      silent ? crypto::OtOffline::kSilent : crypto::OtOffline::kDhBatch;
   crypto::reset_exp_counters();
   Stopwatch watch;
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(11);
-        crypto::BatchedOtSender sender(group, rng);
-        if (silent) {
-          sender.enable_silent(/*low_water=*/16);
-          if (reservoir) sender.attach_reservoir(*reservoir);
-        }
-        sender.reserve(ch, slots);
+        crypto::BatchedOtSender sender(group, rng, offline);
+        if (reservoir) sender.attach_reservoir(*reservoir);
+        sender.reserve(ch, 2, slots);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(12);
-        crypto::BatchedOtReceiver receiver(group, rng);
-        if (silent) {
-          receiver.enable_silent(/*low_water=*/16);
-          if (reservoir) receiver.attach_reservoir(*reservoir);
-        }
-        receiver.reserve(ch, slots);
+        crypto::BatchedOtReceiver receiver(group, rng, offline);
+        if (reservoir) receiver.attach_reservoir(*reservoir);
+        receiver.reserve(ch, 2, slots);
         return 0;
       });
   OfflineRaw raw;

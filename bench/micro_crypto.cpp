@@ -243,8 +243,8 @@ void BM_ReservoirRefill(benchmark::State& state) {
   auto [ch_a, ch_b] = net::make_channel();
   Rng rng_a(1), rng_b(2);
   crypto::PadReservoir reservoir(1);
-  crypto::SilentPadSender sender(group, rng_a, /*low_water=*/16);
-  crypto::SilentPadReceiver receiver(group, rng_b, /*low_water=*/16);
+  crypto::SilentPadSender sender(group, rng_a, crypto::kSilentLowWater);
+  crypto::SilentPadReceiver receiver(group, rng_b, crypto::kSilentLowWater);
   {
     std::thread peer([&] { receiver.ensure_ready(ch_b); });
     sender.ensure_ready(ch_a);

@@ -42,18 +42,6 @@ struct SchemeConfig {
   /// from the protocol digest, like ompe.eval_threads.
   bool reservoir = false;
 
-  /// Batch size for non-silent precomputed-OT pool top-ups. Affects how
-  /// many slots an offline round trip fills (both sides must match for the
-  /// non-silent engine — reserve() fails closed on disagreement) but not
-  /// the protocol identity, so it is digest-excluded. Silent staging sizes
-  /// come from protocol constants (crypto::kSilentStageQuantum), making
-  /// this knob wire-irrelevant there.
-  std::size_t refill_batch = 128;
-
-  /// Low-water mark the reservoir refills silent pad pools against.
-  /// Local-only, digest-excluded.
-  std::size_t ot_low_water = 16;
-
   /// Convenience presets.
   static SchemeConfig secure_default() { return SchemeConfig{}; }
 
@@ -121,14 +109,7 @@ class OtBundle {
   crypto::OtSender& sender();
   crypto::OtReceiver& receiver();
 
-  /// Batched-engine views (nullptr unless engine == kPrecomputed): the
-  /// audit/observability hooks live on the concrete types.
-  crypto::BatchedOtSender* batched_sender() { return batched_sender_; }
-  crypto::BatchedOtReceiver* batched_receiver() { return batched_receiver_; }
-
  private:
-  SchemeConfig cfg_;
-  Rng* rng_ = nullptr;
   std::unique_ptr<crypto::OtSender> sender_;
   std::unique_ptr<crypto::OtReceiver> receiver_;
   /// Non-owning views into sender_/receiver_ when engine == kPrecomputed.

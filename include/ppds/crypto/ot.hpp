@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "ppds/common/bytes.hpp"
@@ -197,8 +196,8 @@ std::vector<PrecomputedRecvSlot> precompute_ot_receiver(
 /// every mid-protocol failure in the process zeroed its pad pools, without
 /// reaching into engines owned by other threads' dead sessions.
 ///
-/// Engines running the silent precompute additionally report their GGM
-/// state: `frontier_wipes` counts aborts whose post-wipe frontier scan
+/// Silent engines additionally report their GGM state from their own
+/// abort(): `frontier_wipes` counts aborts whose post-wipe frontier scan
 /// (every tree root seed zeroed, the column-choice mask zeroed) came back
 /// clean, and `reservoir_wipes` counts aborts whose staged correction
 /// bytes, pre-expanded row material and unconsumed pads all scanned zero —
@@ -213,28 +212,85 @@ struct OtAbortAudit {
 
 OtAbortAudit& ot_abort_audit();
 
+/// --- Slot sources -------------------------------------------------------------
+///
+/// The seam between the batched facade below and its offline phase. A
+/// source hands out precomputed slots of any arity and tops its per-arity
+/// pools up over the channel. Two sources exist: the amortized DH batches
+/// above (precompute_ot_*) and the silent PPRF engine
+/// (crypto/silent_ot.hpp). Every count a source reports is protocol-
+/// deterministic: both parties see the same level after the same calls.
+
+/// Which offline phase fills a BatchedOt{Sender,Receiver}'s slots.
+enum class OtOffline {
+  kDhBatch,  ///< one amortized Naor-Pinkas round trip per top-up
+  kSilent,   ///< one PPRF seed agreement, then 16-byte correction rows
+};
+
+/// Smallest DH-batch auto top-up, in slots. A protocol constant: both
+/// parties derive every top-up size from it and the transfer shape.
+inline constexpr std::size_t kDhTopUpSlots = 128;
+
+template <typename Slot>
+class SlotSource {
+ public:
+  virtual ~SlotSource() = default;
+
+  /// One-time setup on first use (the silent seed agreement); no-op once
+  /// run, and always for the DH batch.
+  virtual void ensure_ready(net::Endpoint& channel) = 0;
+
+  /// Ensures at least \p count unconsumed arity-\p arity slots; the peer's
+  /// source mirrors the call.
+  virtual void stage_to(net::Endpoint& channel, std::size_t arity,
+                        std::size_t count) = 0;
+
+  /// Auto top-up before a transfer that consumes \p need arity-\p arity
+  /// slots. Each source keeps its own rule (part of its wire format).
+  virtual void top_up(net::Endpoint& channel, std::size_t arity,
+                      std::size_t need) = 0;
+
+  /// Pops one staged slot. The caller wipes it after use.
+  virtual Slot take(std::size_t arity) = 0;
+
+  /// Unconsumed slots of one arity / of every arity, read under the
+  /// source's lock (coherent against a background refill).
+  virtual std::size_t available(std::size_t arity) const = 0;
+  virtual std::size_t available_total() const = 0;
+
+  /// Wipes every unconsumed pad in place and poisons the source.
+  virtual void abort() noexcept = 0;
+
+  /// Abort-audit scan: true when no live pad byte is left.
+  virtual bool pads_clean() const = 0;
+
+  /// Hooks a background refill reservoir (the DH batch has no background
+  /// work and ignores it).
+  virtual void attach_reservoir(PadReservoir* /*reservoir*/) {}
+  virtual void detach_reservoir() noexcept {}
+};
+
+using SendSlotSource = SlotSource<PrecomputedSendSlot>;
+using RecvSlotSource = SlotSource<PrecomputedRecvSlot>;
+
 /// --- Batched session facade --------------------------------------------------
 ///
-/// OtSender/OtReceiver implementation that owns the Naor-Pinkas base
-/// machinery and auto-refilled PER-ARITY pools of precomputed slots:
-/// reserve() tops a pool up for a whole classification session in one round
-/// trip, and send()/receive() refill symmetrically (both sides derive the
-/// same top-up size from the transfer shape) if a session outruns its
-/// reservation. An n-message transfer with n <= kMaxDirectArity consumes
-/// one direct arity-n slot; larger transfers fall back to bit decomposition
-/// over the arity-2 pool.
+/// OtSender/OtReceiver implementation over exactly one slot source, chosen
+/// at construction: reserve() tops a pool up for a whole classification
+/// session in one round trip, and send()/receive() top up symmetrically
+/// (both sides derive the same need from the transfer shape) if a session
+/// outruns its reservation. An n-message transfer with n <=
+/// kMaxDirectArity consumes one direct arity-n slot; larger transfers fall
+/// back to bit decomposition over arity-2 slots.
 
 class BatchedOtSender : public OtSender {
  public:
   BatchedOtSender(const DhGroup& group, Rng& rng,
-                  std::size_t refill_batch = 128);
+                  OtOffline offline = OtOffline::kDhBatch);
   ~BatchedOtSender() override;
 
-  /// Ensures at least \p slots unconsumed arity-2 slots, topping up in one
-  /// round trip (the receiver must mirror with its own reserve()).
-  void reserve(net::Endpoint& channel, std::size_t slots);
-
-  /// Ensures at least \p count unconsumed arity-\p arity slots.
+  /// Ensures at least \p count unconsumed arity-\p arity slots, topping up
+  /// in one round trip (the receiver must mirror with its own reserve()).
   void reserve(net::Endpoint& channel, std::size_t arity, std::size_t count);
 
   void send(net::Endpoint& channel, std::span<const Bytes> messages,
@@ -253,65 +309,35 @@ class BatchedOtSender : public OtSender {
   /// poking freed memory).
   bool pool_wiped() const;
 
-  /// Unconsumed slots summed across every arity pool. Alias of
-  /// available_slots() — see there for the coherence contract.
-  std::size_t remaining() const;
-
-  /// Unconsumed slots of one arity.
-  std::size_t remaining(std::size_t arity) const;
-
-  /// Coherent unconsumed-slot accessors: one snapshot under the engine
-  /// lock, never a lock-free sum racing a background refill. In silent
-  /// mode these report the staged/consumed LEDGER (the protocol-
+  /// Unconsumed slots of every arity / of one arity: one snapshot under
+  /// the source's lock, never a lock-free sum racing a background refill.
+  /// The silent engine reports its staged/consumed LEDGER (the protocol-
   /// deterministic quantity), not the locally-timed expansion level.
   std::size_t available_slots() const;
   std::size_t available_slots(std::size_t arity) const;
 
-  /// Switches the offline phase to the silent PPRF engine: one base-OT
-  /// handshake on first reserve(), then corrections-only staging. Call
-  /// before any reserve()/transfer; \p low_water is the per-arity pool mark
-  /// the background reservoir refills against.
-  void enable_silent(std::size_t low_water);
-  bool silent_enabled() const { return silent_ != nullptr; }
-  SilentPadSender* silent_engine() { return silent_.get(); }
-  const SilentPadSender* silent_engine() const { return silent_.get(); }
+  /// The silent engine behind an OtOffline::kSilent facade (nullptr for
+  /// the DH batch): its frontier scan and expansion counters.
+  SilentPadSender* silent_engine();
 
-  /// Hooks the silent engine to a background reservoir (no-op without
-  /// enable_silent()). detach_reservoir() blocks until the reservoir's
-  /// workers have left the engine; the destructor detaches automatically.
+  /// Hooks the silent engine to a background reservoir (no-op for the DH
+  /// batch). detach_reservoir() blocks until the reservoir's workers have
+  /// left the engine; the destructor detaches automatically.
   void attach_reservoir(PadReservoir& reservoir);
   void detach_reservoir() noexcept;
 
  private:
-  struct Pool {
-    std::size_t arity = 2;
-    std::vector<PrecomputedSendSlot> slots;
-    std::size_t next = 0;
-  };
-
-  Pool& pool_for(std::size_t arity);
-
-  NaorPinkasSender base_;
   Rng& rng_;
-  std::size_t refill_batch_;
-  std::size_t low_water_ = 0;
-  // Guards pools_ so available_slots() observers on other threads see a
-  // coherent snapshot; the protocol thread is the only mutator.
-  mutable std::mutex pools_mu_;
-  // Pool bookkeeping (arity, counts, cursor) is public protocol metadata;
-  // the secrets live in the slots' annotated fields.
-  std::vector<Pool> pools_;
-  std::unique_ptr<SilentPadSender> silent_;
+  std::unique_ptr<SendSlotSource> source_;
   bool aborted_ = false;
 };
 
 class BatchedOtReceiver : public OtReceiver {
  public:
   BatchedOtReceiver(const DhGroup& group, Rng& rng,
-                    std::size_t refill_batch = 128);
+                    OtOffline offline = OtOffline::kDhBatch);
   ~BatchedOtReceiver() override;
 
-  void reserve(net::Endpoint& channel, std::size_t slots);
   void reserve(net::Endpoint& channel, std::size_t arity, std::size_t count);
 
   std::vector<Bytes> receive(net::Endpoint& channel,
@@ -326,38 +352,19 @@ class BatchedOtReceiver : public OtReceiver {
   /// See BatchedOtSender::pool_wiped().
   bool pool_wiped() const;
 
-  std::size_t remaining() const;
-  std::size_t remaining(std::size_t arity) const;
-
   /// See BatchedOtSender::available_slots().
   std::size_t available_slots() const;
   std::size_t available_slots(std::size_t arity) const;
 
-  /// See BatchedOtSender::enable_silent().
-  void enable_silent(std::size_t low_water);
-  bool silent_enabled() const { return silent_ != nullptr; }
-  SilentPadReceiver* silent_engine() { return silent_.get(); }
-  const SilentPadReceiver* silent_engine() const { return silent_.get(); }
+  /// See BatchedOtSender::silent_engine().
+  SilentPadReceiver* silent_engine();
 
   void attach_reservoir(PadReservoir& reservoir);
   void detach_reservoir() noexcept;
 
  private:
-  struct Pool {
-    std::size_t arity = 2;
-    std::vector<PrecomputedRecvSlot> slots;
-    std::size_t next = 0;
-  };
-
-  Pool& pool_for(std::size_t arity);
-
-  NaorPinkasReceiver base_;
   Rng& rng_;
-  std::size_t refill_batch_;
-  std::size_t low_water_ = 0;
-  mutable std::mutex pools_mu_;
-  std::vector<Pool> pools_;
-  std::unique_ptr<SilentPadReceiver> silent_;
+  std::unique_ptr<RecvSlotSource> source_;
   bool aborted_ = false;
 };
 

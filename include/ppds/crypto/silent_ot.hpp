@@ -63,13 +63,18 @@ inline constexpr std::size_t kSilentRowsPerLeaf = 256;
 inline constexpr unsigned kSilentTreeDepth = 16;
 
 /// Correction blocks are staged in multiples of this many rows — a
-/// PROTOCOL constant (both sides derive identical block sizes from the
-/// ledger), deliberately not the local refill_batch tuning knob.
+/// PROTOCOL constant: both sides derive identical block sizes from the
+/// ledger.
 inline constexpr std::size_t kSilentStageQuantum = 128;
 
 /// Ledger lead maintained ahead of consumption so the background expander
 /// has runway; also a protocol constant for the same reason.
 inline constexpr std::size_t kSilentLeadSlots = 16;
+
+/// Per-arity pool level the background reservoir refills against when a
+/// BatchedOt{Sender,Receiver} builds the engine. Local scheduling only:
+/// it never changes the wire.
+inline constexpr std::size_t kSilentLowWater = 16;
 
 using SilentRow = std::array<std::uint8_t, kSilentRowBytes>;
 
@@ -99,7 +104,7 @@ class RefillTarget {
 
 /// --- Sender half -------------------------------------------------------------
 
-class SilentPadSender : public RefillTarget {
+class SilentPadSender : public RefillTarget, public SendSlotSource {
  public:
   SilentPadSender(const DhGroup& group, Rng& rng, std::size_t low_water);
   ~SilentPadSender() override;
@@ -108,22 +113,29 @@ class SilentPadSender : public RefillTarget {
   SilentPadSender& operator=(const SilentPadSender&) = delete;
 
   /// One-round-trip seed agreement (lazy; protocol thread). No-op once run.
-  void ensure_ready(net::Endpoint& channel);
+  void ensure_ready(net::Endpoint& channel) override;
   bool ready() const;
 
   /// Protocol thread: receives correction blocks until the ledger covers
   /// \p count unconsumed arity-\p arity slots. Pure bookkeeping + recv —
   /// the expansion happens in refill_step() (or lazily in take()).
-  void stage_to(net::Endpoint& channel, std::size_t arity, std::size_t count);
+  void stage_to(net::Endpoint& channel, std::size_t arity,
+                std::size_t count) override;
+
+  /// Short of \p need + kSilentLeadSlots: stage to exactly that. Keyed on
+  /// the shared ledger and protocol constants, never on pool levels, so
+  /// both sides stage identically whatever the reservoir's timing.
+  void top_up(net::Endpoint& channel, std::size_t arity,
+              std::size_t need) override;
 
   /// Protocol thread: pops one finished slot (ledger must cover it). Waits
   /// for the reservoir when attached, expands inline otherwise.
-  PrecomputedSendSlot take(std::size_t arity);
+  PrecomputedSendSlot take(std::size_t arity) override;
 
   /// Slots staged on the wire ledger and not yet consumed (the
   /// protocol-deterministic quantity reserve() sizes from).
-  std::size_t ledger_available(std::size_t arity) const;
-  std::size_t ledger_available_total() const;
+  std::size_t available(std::size_t arity) const override;
+  std::size_t available_total() const override;
 
   /// Slots fully expanded and ready for take() without any work.
   std::size_t expanded_available(std::size_t arity) const;
@@ -132,17 +144,20 @@ class SilentPadSender : public RefillTarget {
   bool refill_step() override;
   bool needs_refill() override;
 
-  void attach_reservoir(PadReservoir* reservoir);
-  void detach_reservoir() noexcept;
+  void attach_reservoir(PadReservoir* reservoir) override;
+  void detach_reservoir() noexcept override;
 
   /// Wipes frontier seeds, staged corrections and unconsumed pads; poisons
-  /// the engine. The caller (BatchedOtSender::abort) feeds the audit.
-  void abort() noexcept;
+  /// the engine; feeds the frontier_wipes / reservoir_wipes audit counters
+  /// (ot_abort_audit()) from the two scans below.
+  void abort() noexcept override;
   bool aborted() const;
 
   /// Post-abort hygiene scans (audit hooks).
-  bool frontier_clean() const;  ///< every GGM root seed zeroed
-  bool pads_clean() const;      ///< every staged byte + unconsumed pad zeroed
+  /// every GGM root seed zeroed
+  bool frontier_clean() const;
+  /// every staged byte + unconsumed pad zeroed
+  bool pads_clean() const override;
 
   /// Times the protocol thread had to expand synchronously (cold path);
   /// zero when a warm reservoir keeps up.
@@ -203,7 +218,7 @@ class SilentPadSender : public RefillTarget {
 
 /// --- Receiver half -----------------------------------------------------------
 
-class SilentPadReceiver : public RefillTarget {
+class SilentPadReceiver : public RefillTarget, public RecvSlotSource {
  public:
   SilentPadReceiver(const DhGroup& group, Rng& rng, std::size_t low_water);
   ~SilentPadReceiver() override;
@@ -211,34 +226,40 @@ class SilentPadReceiver : public RefillTarget {
   SilentPadReceiver(const SilentPadReceiver&) = delete;
   SilentPadReceiver& operator=(const SilentPadReceiver&) = delete;
 
-  void ensure_ready(net::Endpoint& channel);
+  void ensure_ready(net::Endpoint& channel) override;
   bool ready() const;
 
   /// Protocol thread: draws choices, builds + SENDS correction blocks until
   /// the ledger covers \p count unconsumed arity-\p arity slots, and pushes
   /// the matching finished recv slots. Consumes pre-expanded row material;
   /// a cold engine expands it inline (counted in sync_expansions()).
-  void stage_to(net::Endpoint& channel, std::size_t arity, std::size_t count);
+  void stage_to(net::Endpoint& channel, std::size_t arity,
+                std::size_t count) override;
+
+  /// See SilentPadSender::top_up().
+  void top_up(net::Endpoint& channel, std::size_t arity,
+              std::size_t need) override;
 
   /// Protocol thread: pops one finished slot. Receiver slots are built at
   /// staging time, so this never blocks.
-  PrecomputedRecvSlot take(std::size_t arity);
+  PrecomputedRecvSlot take(std::size_t arity) override;
 
-  std::size_t ledger_available(std::size_t arity) const;
-  std::size_t ledger_available_total() const;
+  std::size_t available(std::size_t arity) const override;
+  std::size_t available_total() const override;
   std::size_t expanded_available(std::size_t arity) const;
 
   // RefillTarget (pre-expands row material ahead of the staging cursor):
   bool refill_step() override;
   bool needs_refill() override;
 
-  void attach_reservoir(PadReservoir* reservoir);
-  void detach_reservoir() noexcept;
+  void attach_reservoir(PadReservoir* reservoir) override;
+  void detach_reservoir() noexcept override;
 
-  void abort() noexcept;
+  /// See SilentPadSender::abort().
+  void abort() noexcept override;
   bool aborted() const;
   bool frontier_clean() const;
-  bool pads_clean() const;
+  bool pads_clean() const override;
 
   std::uint64_t sync_expansions() const;
 

@@ -2,8 +2,7 @@
 
 namespace ppds::core {
 
-OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng)
-    : cfg_(cfg), rng_(&rng) {
+OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng) {
   const crypto::DhGroup* group = nullptr;
   if (cfg.ot_engine != OtEngine::kLoopback) {
     group = &crypto::shared_group(cfg.group);
@@ -14,14 +13,13 @@ OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng)
       receiver_ = std::make_unique<crypto::NaorPinkasReceiver>(*group, rng);
       break;
     case OtEngine::kPrecomputed: {
-      auto sender = std::make_unique<crypto::BatchedOtSender>(
-          *group, rng, cfg.refill_batch);
-      auto receiver = std::make_unique<crypto::BatchedOtReceiver>(
-          *group, rng, cfg.refill_batch);
-      if (cfg.silent_precompute) {
-        sender->enable_silent(cfg.ot_low_water);
-        receiver->enable_silent(cfg.ot_low_water);
-      }
+      const crypto::OtOffline offline = cfg.silent_precompute
+                                            ? crypto::OtOffline::kSilent
+                                            : crypto::OtOffline::kDhBatch;
+      auto sender =
+          std::make_unique<crypto::BatchedOtSender>(*group, rng, offline);
+      auto receiver =
+          std::make_unique<crypto::BatchedOtReceiver>(*group, rng, offline);
       batched_sender_ = sender.get();
       batched_receiver_ = receiver.get();
       sender_ = std::move(sender);

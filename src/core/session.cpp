@@ -41,9 +41,9 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
   w.u32(config.ompe.frac_bits);
   w.f64(config.ompe.node_lo);
   w.f64(config.ompe.node_hi);
-  // Local performance knobs (ompe.eval_threads, reservoir, refill_batch,
-  // ot_low_water) are deliberately NOT hashed: they never change wire
-  // bytes, so the parties need not agree on them.
+  // Local performance knobs (ompe.eval_threads, reservoir) are
+  // deliberately NOT hashed: they never change wire bytes, so the parties
+  // need not agree on them.
   return crypto::sha256(w.data());
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <mutex>
+#include <type_traits>
 
 #include "ppds/common/ct.hpp"
 #include "ppds/common/error.hpp"
@@ -501,158 +503,213 @@ OtAbortAudit& ot_abort_audit() {
   return audit;
 }
 
-/// --- Batched session facade -----------------------------------------------------
+/// --- DH-batch slot source ---------------------------------------------------------
 
 namespace {
 
-void wipe_send_slot(PrecomputedSendSlot& slot) {
+void wipe_slot(PrecomputedSendSlot& slot) {
   for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
 }
 
-void wipe_recv_slot(PrecomputedRecvSlot& slot) {
+void wipe_slot(PrecomputedRecvSlot& slot) {
   secure_wipe(std::span(slot.pad));
   slot.choice = 0;
 }
 
-/// Bumps the pool cursor under the engine lock so available_slots() readers
-/// on other threads always see a coherent level. Only the protocol thread
-/// mutates, so the returned index stays valid after the lock drops.
-template <typename Pool>
-std::size_t take_index(std::mutex& mu, Pool& pool) {
-  std::lock_guard lk(mu);
-  return pool.next++;
-}
-
-}  // namespace
-
-BatchedOtSender::BatchedOtSender(const DhGroup& group, Rng& rng,
-                                 std::size_t refill_batch)
-    : base_(group, rng),
-      rng_(rng),
-      refill_batch_(std::max<std::size_t>(refill_batch, 1)) {}
-
-BatchedOtSender::~BatchedOtSender() {
-  // unique_ptr destruction detaches any reservoir and wipes the silent
-  // engine's own state (see SilentPadSender::~SilentPadSender).
-  for (Pool& pool : pools_) {
-    for (PrecomputedSendSlot& slot : pool.slots) wipe_send_slot(slot);
-  }
-}
-
-void BatchedOtSender::enable_silent(std::size_t low_water) {
-  detail::require(!aborted_, "ot: aborted engine cannot be resumed");
-  detail::require(pools_.empty(), "ot: enable_silent before any reserve");
-  low_water_ = low_water;
-  silent_ = std::make_unique<SilentPadSender>(base_.group(), rng_, low_water);
-}
-
-void BatchedOtSender::attach_reservoir(PadReservoir& reservoir) {
-  if (silent_) silent_->attach_reservoir(&reservoir);
-}
-
-void BatchedOtSender::detach_reservoir() noexcept {
-  if (silent_) silent_->detach_reservoir();
-}
-
-void BatchedOtSender::abort() noexcept {
-  const bool silent = silent_ != nullptr;
-  if (silent) silent_->abort();
-  {
-    std::lock_guard lk(pools_mu_);
-    for (Pool& pool : pools_) {
-      for (PrecomputedSendSlot& slot : pool.slots) wipe_send_slot(slot);
-      pool.next = pool.slots.size();  // nothing left to consume
-    }
-  }
-  aborted_ = true;
-  ot_abort_audit().aborts.fetch_add(1);
-  if (pool_wiped()) ot_abort_audit().wiped.fetch_add(1);
-  if (silent) {
-    if (silent_->frontier_clean()) {
-      ot_abort_audit().frontier_wipes.fetch_add(1);
-    }
-    if (silent_->pads_clean()) {
-      ot_abort_audit().reservoir_wipes.fetch_add(1);
-    }
-  }
-}
-
-bool BatchedOtSender::pool_wiped() const {
-  if (silent_ && !silent_->pads_clean()) return false;
-  std::lock_guard lk(pools_mu_);
-  for (const Pool& pool : pools_) {
-    for (const PrecomputedSendSlot& slot : pool.slots) {
-      for (const Bytes& pad : slot.pads) {
-        for (std::uint8_t b : pad) {
-          // abort-audit hook: only ever runs on pools that abort() zeroed,
-          // so this scans dead key material. taint: allow(secret-branch)
-          if (b != 0) return false;
-        }
-      }
+bool slot_clean(const PrecomputedSendSlot& slot) {
+  for (const Bytes& pad : slot.pads) {
+    for (std::uint8_t b : pad) {
+      // abort-audit hook: only ever runs on pools that abort() zeroed,
+      // so this scans dead key material. taint: allow(secret-branch)
+      if (b != 0) return false;
     }
   }
   return true;
 }
 
+bool slot_clean(const PrecomputedRecvSlot& slot) {
+  for (std::uint8_t b : slot.pad) {
+    // abort-audit hook: only ever runs on pools that abort() zeroed,
+    // so this scans dead key material. taint: allow(secret-branch)
+    if (b != 0) return false;
+  }
+  return true;
+}
+
+/// Per-arity pools filled by amortized DH batches (precompute_ot_*). The
+/// mutex lets available() observers on other threads see a coherent
+/// snapshot; the protocol thread is the only mutator.
+template <typename Slot>
+class DhBatchSource final : public SlotSource<Slot> {
+ public:
+  static constexpr bool kSender = std::is_same_v<Slot, PrecomputedSendSlot>;
+  using Base =
+      std::conditional_t<kSender, NaorPinkasSender, NaorPinkasReceiver>;
+
+  DhBatchSource(const DhGroup& group, Rng& rng) : base_(group, rng), rng_(rng) {}
+
+  ~DhBatchSource() override {
+    for (Pool& pool : pools_) {
+      for (Slot& slot : pool.slots) wipe_slot(slot);
+    }
+  }
+
+  void ensure_ready(net::Endpoint& /*channel*/) override {}
+
+  void stage_to(net::Endpoint& channel, std::size_t arity,
+                std::size_t count) override {
+    Pool& pool = pool_for(arity);
+    const std::size_t have = pool.slots.size() - pool.next;
+    if (have >= count) return;
+    std::vector<Slot> fresh;
+    if constexpr (kSender) {
+      fresh = precompute_ot_sender(channel, base_, count - have, 32, rng_,
+                                   arity);
+    } else {
+      fresh = precompute_ot_receiver(channel, base_, count - have, 32, rng_,
+                                     arity);
+    }
+    std::lock_guard lk(mu_);
+    // Drop the consumed prefix (take() already moved its pads out).
+    pool.slots.erase(pool.slots.begin(),
+                     pool.slots.begin() + static_cast<std::ptrdiff_t>(pool.next));
+    pool.next = 0;
+    pool.slots.insert(pool.slots.end(), std::make_move_iterator(fresh.begin()),
+                      std::make_move_iterator(fresh.end()));
+  }
+
+  /// Short of \p need: one batch of max(need, kDhTopUpSlots) slots.
+  void top_up(net::Endpoint& channel, std::size_t arity,
+              std::size_t need) override {
+    if (available(arity) < need) {
+      stage_to(channel, arity, std::max(need, kDhTopUpSlots));
+    }
+  }
+
+  Slot take(std::size_t arity) override {
+    Pool& pool = pool_for(arity);
+    std::lock_guard lk(mu_);
+    detail::require(pool.next < pool.slots.size(),
+                    "ot: take outruns the reserved pool");
+    Slot& at = pool.slots[pool.next++];
+    Slot slot = std::move(at);
+    wipe_slot(at);
+    return slot;
+  }
+
+  std::size_t available(std::size_t arity) const override {
+    std::lock_guard lk(mu_);
+    for (const Pool& pool : pools_) {
+      if (pool.arity == arity) return pool.slots.size() - pool.next;
+    }
+    return 0;
+  }
+
+  std::size_t available_total() const override {
+    std::lock_guard lk(mu_);
+    std::size_t total = 0;
+    for (const Pool& pool : pools_) total += pool.slots.size() - pool.next;
+    return total;
+  }
+
+  void abort() noexcept override {
+    std::lock_guard lk(mu_);
+    for (Pool& pool : pools_) {
+      for (Slot& slot : pool.slots) wipe_slot(slot);
+      pool.next = pool.slots.size();  // nothing left to consume
+    }
+  }
+
+  bool pads_clean() const override {
+    std::lock_guard lk(mu_);
+    for (const Pool& pool : pools_) {
+      for (const Slot& slot : pool.slots) {
+        if (!slot_clean(slot)) return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  // Pool bookkeeping (arity, counts, cursor) is public protocol metadata;
+  // the secrets live in the slots' annotated fields.
+  struct Pool {
+    std::size_t arity = 2;
+    std::vector<Slot> slots;
+    std::size_t next = 0;
+  };
+
+  Pool& pool_for(std::size_t arity) {
+    for (Pool& pool : pools_) {
+      if (pool.arity == arity) return pool;
+    }
+    std::lock_guard lk(mu_);
+    pools_.push_back(Pool{arity, {}, 0});
+    return pools_.back();
+  }
+
+  Base base_;
+  Rng& rng_;
+  mutable std::mutex mu_;
+  std::vector<Pool> pools_;
+};
+
+template <typename Slot, typename Silent>
+std::unique_ptr<SlotSource<Slot>> make_source(const DhGroup& group, Rng& rng,
+                                              OtOffline offline) {
+  if (offline == OtOffline::kSilent) {
+    return std::make_unique<Silent>(group, rng, kSilentLowWater);
+  }
+  return std::make_unique<DhBatchSource<Slot>>(group, rng);
+}
+
+}  // namespace
+
+/// --- Batched session facade -----------------------------------------------------
+
+BatchedOtSender::BatchedOtSender(const DhGroup& group, Rng& rng,
+                                 OtOffline offline)
+    : rng_(rng),
+      source_(make_source<PrecomputedSendSlot, SilentPadSender>(group, rng,
+                                                                offline)) {}
+
+// The source's destructor detaches any reservoir and wipes every pad.
+BatchedOtSender::~BatchedOtSender() = default;
+
+SilentPadSender* BatchedOtSender::silent_engine() {
+  return dynamic_cast<SilentPadSender*>(source_.get());
+}
+
+void BatchedOtSender::attach_reservoir(PadReservoir& reservoir) {
+  source_->attach_reservoir(&reservoir);
+}
+
+void BatchedOtSender::detach_reservoir() noexcept {
+  source_->detach_reservoir();
+}
+
+void BatchedOtSender::abort() noexcept {
+  source_->abort();
+  aborted_ = true;
+  ot_abort_audit().aborts.fetch_add(1);
+  if (pool_wiped()) ot_abort_audit().wiped.fetch_add(1);
+}
+
+bool BatchedOtSender::pool_wiped() const { return source_->pads_clean(); }
+
 std::size_t BatchedOtSender::available_slots() const {
-  if (silent_) return silent_->ledger_available_total();
-  std::lock_guard lk(pools_mu_);
-  std::size_t total = 0;
-  for (const Pool& pool : pools_) total += pool.slots.size() - pool.next;
-  return total;
+  return source_->available_total();
 }
 
 std::size_t BatchedOtSender::available_slots(std::size_t arity) const {
-  if (silent_) return silent_->ledger_available(arity);
-  std::lock_guard lk(pools_mu_);
-  for (const Pool& pool : pools_) {
-    if (pool.arity == arity) return pool.slots.size() - pool.next;
-  }
-  return 0;
-}
-
-std::size_t BatchedOtSender::remaining() const { return available_slots(); }
-
-std::size_t BatchedOtSender::remaining(std::size_t arity) const {
-  return available_slots(arity);
-}
-
-BatchedOtSender::Pool& BatchedOtSender::pool_for(std::size_t arity) {
-  for (Pool& pool : pools_) {
-    if (pool.arity == arity) return pool;
-  }
-  std::lock_guard lk(pools_mu_);
-  pools_.push_back(Pool{arity, {}, 0});
-  return pools_.back();
-}
-
-void BatchedOtSender::reserve(net::Endpoint& channel, std::size_t slots) {
-  reserve(channel, 2, slots);
+  return source_->available(arity);
 }
 
 void BatchedOtSender::reserve(net::Endpoint& channel, std::size_t arity,
                               std::size_t count) {
   if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
-  if (silent_) {
-    // Non-blocking fast path: stage_to is ledger bookkeeping plus at most
-    // one correction-block recv; all expansion stays off this thread.
-    silent_->ensure_ready(channel);
-    silent_->stage_to(channel, arity, count);
-    return;
-  }
-  Pool& pool = pool_for(arity);
-  const std::size_t have = pool.slots.size() - pool.next;
-  if (have >= count) return;
-  const std::size_t top_up = count - have;
-  auto fresh = precompute_ot_sender(channel, base_, top_up, 32, rng_, arity);
-  std::lock_guard lk(pools_mu_);
-  // Compact the consumed prefix (its pads are spent key material).
-  for (std::size_t i = 0; i < pool.next; ++i) wipe_send_slot(pool.slots[i]);
-  pool.slots.erase(pool.slots.begin(),
-                   pool.slots.begin() + static_cast<std::ptrdiff_t>(pool.next));
-  pool.next = 0;
-  pool.slots.insert(pool.slots.end(), std::make_move_iterator(fresh.begin()),
-                    std::make_move_iterator(fresh.end()));
+  source_->ensure_ready(channel);
+  source_->stage_to(channel, arity, count);
 }
 
 void BatchedOtSender::send(net::Endpoint& channel,
@@ -665,184 +722,73 @@ void BatchedOtSender::send(net::Endpoint& channel,
     for (std::size_t i = 0; i < k; ++i) channel.send(messages.front());
     return;
   }
-  if (silent_) {
-    silent_->ensure_ready(channel);
-    // Auto-staging keyed on the shared ledger and PROTOCOL constants (never
-    // refill_batch or pool levels), so both sides stage identically and
-    // the transcript is independent of background-refill timing.
-    if (n <= kMaxDirectArity) {
-      if (silent_->ledger_available(n) < k + kSilentLeadSlots) {
-        silent_->stage_to(channel, n, k + kSilentLeadSlots);
-      }
-      for (std::size_t i = 0; i < k; ++i) {
-        PrecomputedSendSlot slot = silent_->take(n);
-        precomputed_send_1ofn(channel, slot, messages);
-        wipe_send_slot(slot);
-      }
-      return;
-    }
-    const std::size_t needed = k * index_bits(n);
-    if (silent_->ledger_available(2) < needed + kSilentLeadSlots) {
-      silent_->stage_to(channel, 2, needed + kSilentLeadSlots);
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      send_1ofn_impl(channel, messages, rng_,
-                     [&](const Bytes& k0, const Bytes& k1) {
-                       PrecomputedSendSlot slot = silent_->take(2);
-                       precomputed_send_1of2(channel, slot, k0, k1);
-                       wipe_send_slot(slot);
-                     });
-    }
-    return;
-  }
-  // Symmetric auto-refill: both parties derive the same need from the
-  // transfer shape and the same pool level from identical consumption.
+  source_->ensure_ready(channel);
+  // Symmetric auto top-up: both parties derive the same need from the
+  // transfer shape and the same level from identical consumption.
   if (n <= kMaxDirectArity) {
-    // Direct 1-of-n slots: one slot (one offline exponentiation) per
-    // transfer instead of ceil(log2 n) bit-decomposition slots.
-    if (remaining(n) < k) reserve(channel, n, std::max(k, refill_batch_));
-    Pool& pool = pool_for(n);
+    // Direct 1-of-n slots: one slot per transfer instead of ceil(log2 n)
+    // bit-decomposition slots.
+    source_->top_up(channel, n, k);
     for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t at = take_index(pools_mu_, pool);
-      precomputed_send_1ofn(channel, pool.slots[at], messages);
+      PrecomputedSendSlot slot = source_->take(n);
+      precomputed_send_1ofn(channel, slot, messages);
+      wipe_slot(slot);
     }
     return;
   }
-  const std::size_t needed = k * index_bits(n);
-  if (remaining(2) < needed) {
-    reserve(channel, 2, std::max(needed, refill_batch_));
-  }
-  Pool& pool = pool_for(2);
+  source_->top_up(channel, 2, k * index_bits(n));
   for (std::size_t i = 0; i < k; ++i) {
     send_1ofn_impl(channel, messages, rng_,
                    [&](const Bytes& k0, const Bytes& k1) {
-                     const std::size_t at = take_index(pools_mu_, pool);
-                     precomputed_send_1of2(channel, pool.slots[at], k0, k1);
+                     PrecomputedSendSlot slot = source_->take(2);
+                     precomputed_send_1of2(channel, slot, k0, k1);
+                     wipe_slot(slot);
                    });
   }
 }
 
 BatchedOtReceiver::BatchedOtReceiver(const DhGroup& group, Rng& rng,
-                                     std::size_t refill_batch)
-    : base_(group, rng),
-      rng_(rng),
-      refill_batch_(std::max<std::size_t>(refill_batch, 1)) {}
+                                     OtOffline offline)
+    : rng_(rng),
+      source_(make_source<PrecomputedRecvSlot, SilentPadReceiver>(group, rng,
+                                                                  offline)) {}
 
-BatchedOtReceiver::~BatchedOtReceiver() {
-  for (Pool& pool : pools_) {
-    for (PrecomputedRecvSlot& slot : pool.slots) wipe_recv_slot(slot);
-  }
-}
+BatchedOtReceiver::~BatchedOtReceiver() = default;
 
-void BatchedOtReceiver::enable_silent(std::size_t low_water) {
-  detail::require(!aborted_, "ot: aborted engine cannot be resumed");
-  detail::require(pools_.empty(), "ot: enable_silent before any reserve");
-  low_water_ = low_water;
-  silent_ = std::make_unique<SilentPadReceiver>(base_.group(), rng_, low_water);
+SilentPadReceiver* BatchedOtReceiver::silent_engine() {
+  return dynamic_cast<SilentPadReceiver*>(source_.get());
 }
 
 void BatchedOtReceiver::attach_reservoir(PadReservoir& reservoir) {
-  if (silent_) silent_->attach_reservoir(&reservoir);
+  source_->attach_reservoir(&reservoir);
 }
 
 void BatchedOtReceiver::detach_reservoir() noexcept {
-  if (silent_) silent_->detach_reservoir();
+  source_->detach_reservoir();
 }
 
 void BatchedOtReceiver::abort() noexcept {
-  const bool silent = silent_ != nullptr;
-  if (silent) silent_->abort();
-  {
-    std::lock_guard lk(pools_mu_);
-    for (Pool& pool : pools_) {
-      for (PrecomputedRecvSlot& slot : pool.slots) wipe_recv_slot(slot);
-      pool.next = pool.slots.size();
-    }
-  }
+  source_->abort();
   aborted_ = true;
   ot_abort_audit().aborts.fetch_add(1);
   if (pool_wiped()) ot_abort_audit().wiped.fetch_add(1);
-  if (silent) {
-    if (silent_->frontier_clean()) {
-      ot_abort_audit().frontier_wipes.fetch_add(1);
-    }
-    if (silent_->pads_clean()) {
-      ot_abort_audit().reservoir_wipes.fetch_add(1);
-    }
-  }
 }
 
-bool BatchedOtReceiver::pool_wiped() const {
-  if (silent_ && !silent_->pads_clean()) return false;
-  std::lock_guard lk(pools_mu_);
-  for (const Pool& pool : pools_) {
-    for (const PrecomputedRecvSlot& slot : pool.slots) {
-      for (std::uint8_t b : slot.pad) {
-        // abort-audit hook: only ever runs on pools that abort() zeroed,
-        // so this scans dead key material. taint: allow(secret-branch)
-        if (b != 0) return false;
-      }
-    }
-  }
-  return true;
-}
+bool BatchedOtReceiver::pool_wiped() const { return source_->pads_clean(); }
 
 std::size_t BatchedOtReceiver::available_slots() const {
-  if (silent_) return silent_->ledger_available_total();
-  std::lock_guard lk(pools_mu_);
-  std::size_t total = 0;
-  for (const Pool& pool : pools_) total += pool.slots.size() - pool.next;
-  return total;
+  return source_->available_total();
 }
 
 std::size_t BatchedOtReceiver::available_slots(std::size_t arity) const {
-  if (silent_) return silent_->ledger_available(arity);
-  std::lock_guard lk(pools_mu_);
-  for (const Pool& pool : pools_) {
-    if (pool.arity == arity) return pool.slots.size() - pool.next;
-  }
-  return 0;
-}
-
-std::size_t BatchedOtReceiver::remaining() const { return available_slots(); }
-
-std::size_t BatchedOtReceiver::remaining(std::size_t arity) const {
-  return available_slots(arity);
-}
-
-BatchedOtReceiver::Pool& BatchedOtReceiver::pool_for(std::size_t arity) {
-  for (Pool& pool : pools_) {
-    if (pool.arity == arity) return pool;
-  }
-  std::lock_guard lk(pools_mu_);
-  pools_.push_back(Pool{arity, {}, 0});
-  return pools_.back();
-}
-
-void BatchedOtReceiver::reserve(net::Endpoint& channel, std::size_t slots) {
-  reserve(channel, 2, slots);
+  return source_->available(arity);
 }
 
 void BatchedOtReceiver::reserve(net::Endpoint& channel, std::size_t arity,
                                 std::size_t count) {
   if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
-  if (silent_) {
-    silent_->ensure_ready(channel);
-    silent_->stage_to(channel, arity, count);
-    return;
-  }
-  Pool& pool = pool_for(arity);
-  const std::size_t have = pool.slots.size() - pool.next;
-  if (have >= count) return;
-  const std::size_t top_up = count - have;
-  auto fresh = precompute_ot_receiver(channel, base_, top_up, 32, rng_, arity);
-  std::lock_guard lk(pools_mu_);
-  for (std::size_t i = 0; i < pool.next; ++i) wipe_recv_slot(pool.slots[i]);
-  pool.slots.erase(pool.slots.begin(),
-                   pool.slots.begin() + static_cast<std::ptrdiff_t>(pool.next));
-  pool.next = 0;
-  pool.slots.insert(pool.slots.end(), std::make_move_iterator(fresh.begin()),
-                    std::make_move_iterator(fresh.end()));
+  source_->ensure_ready(channel);
+  source_->stage_to(channel, arity, count);
 }
 
 std::vector<Bytes> BatchedOtReceiver::receive(
@@ -861,57 +807,24 @@ std::vector<Bytes> BatchedOtReceiver::receive(
     }
     return out;
   }
-  if (silent_) {
-    silent_->ensure_ready(channel);
-    if (n <= kMaxDirectArity) {
-      if (silent_->ledger_available(n) < indices.size() + kSilentLeadSlots) {
-        silent_->stage_to(channel, n, indices.size() + kSilentLeadSlots);
-      }
-      for (std::size_t index : indices) {
-        PrecomputedRecvSlot slot = silent_->take(n);
-        out.push_back(
-            precomputed_receive_1ofn(channel, slot, index, message_len));
-        wipe_recv_slot(slot);
-      }
-      return out;
-    }
-    const std::size_t needed = indices.size() * index_bits(n);
-    if (silent_->ledger_available(2) < needed + kSilentLeadSlots) {
-      silent_->stage_to(channel, 2, needed + kSilentLeadSlots);
-    }
-    for (std::size_t index : indices) {
-      out.push_back(
-          receive_1ofn_impl(channel, index, n, message_len, [&](bool choice) {
-            PrecomputedRecvSlot slot = silent_->take(2);
-            Bytes key = precomputed_receive_1of2(channel, slot, choice);
-            wipe_recv_slot(slot);
-            return key;
-          }));
-    }
-    return out;
-  }
+  source_->ensure_ready(channel);
   if (n <= kMaxDirectArity) {
-    if (remaining(n) < indices.size()) {
-      reserve(channel, n, std::max(indices.size(), refill_batch_));
-    }
-    Pool& pool = pool_for(n);
+    source_->top_up(channel, n, indices.size());
     for (std::size_t index : indices) {
-      const std::size_t at = take_index(pools_mu_, pool);
-      out.push_back(precomputed_receive_1ofn(channel, pool.slots[at], index,
-                                             message_len));
+      PrecomputedRecvSlot slot = source_->take(n);
+      out.push_back(precomputed_receive_1ofn(channel, slot, index, message_len));
+      wipe_slot(slot);
     }
     return out;
   }
-  const std::size_t needed = indices.size() * index_bits(n);
-  if (remaining(2) < needed) {
-    reserve(channel, 2, std::max(needed, refill_batch_));
-  }
-  Pool& pool = pool_for(2);
+  source_->top_up(channel, 2, indices.size() * index_bits(n));
   for (std::size_t index : indices) {
     out.push_back(
         receive_1ofn_impl(channel, index, n, message_len, [&](bool choice) {
-          const std::size_t at = take_index(pools_mu_, pool);
-          return precomputed_receive_1of2(channel, pool.slots[at], choice);
+          PrecomputedRecvSlot slot = source_->take(2);
+          Bytes key = precomputed_receive_1of2(channel, slot, choice);
+          wipe_slot(slot);
+          return key;
         }));
   }
   return out;

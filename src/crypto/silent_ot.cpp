@@ -50,6 +50,23 @@ void wipe_send_slots(std::vector<PrecomputedSendSlot>& slots) {
   }
 }
 
+/// Shared top-up rule of both halves: stage to need + kSilentLeadSlots
+/// whenever the ledger is short of it.
+template <typename Engine>
+void top_up_with_lead(Engine& engine, net::Endpoint& channel,
+                      std::size_t arity, std::size_t need) {
+  if (engine.available(arity) < need + kSilentLeadSlots) {
+    engine.stage_to(channel, arity, need + kSilentLeadSlots);
+  }
+}
+
+/// Post-abort audit of both halves (see OtAbortAudit).
+template <typename Engine>
+void audit_abort(const Engine& engine) {
+  if (engine.frontier_clean()) ot_abort_audit().frontier_wipes.fetch_add(1);
+  if (engine.pads_clean()) ot_abort_audit().reservoir_wipes.fetch_add(1);
+}
+
 }  // namespace
 
 SilentRow silent_codeword_ct(std::uint32_t v) {
@@ -269,6 +286,11 @@ void SilentPadSender::expand_front_locked(std::unique_lock<std::mutex>& lk) {
   cv_.notify_all();
 }
 
+void SilentPadSender::top_up(net::Endpoint& channel, std::size_t arity,
+                      std::size_t need) {
+  top_up_with_lead(*this, channel, arity, need);
+}
+
 PrecomputedSendSlot SilentPadSender::take(std::size_t arity) {
   std::unique_lock lk(mu_);
   if (aborted_) throw ProtocolError("silent ot: aborted engine");
@@ -299,7 +321,7 @@ PrecomputedSendSlot SilentPadSender::take(std::size_t arity) {
   return slot;
 }
 
-std::size_t SilentPadSender::ledger_available(std::size_t arity) const {
+std::size_t SilentPadSender::available(std::size_t arity) const {
   std::lock_guard lk(mu_);
   for (const Ledger& led : ledgers_) {
     if (led.arity == arity) return led.staged - led.consumed;
@@ -307,7 +329,7 @@ std::size_t SilentPadSender::ledger_available(std::size_t arity) const {
   return 0;
 }
 
-std::size_t SilentPadSender::ledger_available_total() const {
+std::size_t SilentPadSender::available_total() const {
   std::lock_guard lk(mu_);
   std::size_t total = 0;
   for (const Ledger& led : ledgers_) total += led.staged - led.consumed;
@@ -372,6 +394,8 @@ void SilentPadSender::abort() noexcept {
     }
   }
   for (Ledger& led : ledgers_) led.consumed = led.staged;
+  lk.unlock();
+  audit_abort(*this);
 }
 
 bool SilentPadSender::aborted() const {
@@ -638,6 +662,11 @@ void SilentPadReceiver::stage_to(net::Endpoint& channel, std::size_t arity,
   if (staged_any) kick_reservoir();
 }
 
+void SilentPadReceiver::top_up(net::Endpoint& channel, std::size_t arity,
+                      std::size_t need) {
+  top_up_with_lead(*this, channel, arity, need);
+}
+
 PrecomputedRecvSlot SilentPadReceiver::take(std::size_t arity) {
   std::unique_lock lk(mu_);
   if (aborted_) throw ProtocolError("silent ot: aborted engine");
@@ -655,7 +684,7 @@ PrecomputedRecvSlot SilentPadReceiver::take(std::size_t arity) {
   return slot;
 }
 
-std::size_t SilentPadReceiver::ledger_available(std::size_t arity) const {
+std::size_t SilentPadReceiver::available(std::size_t arity) const {
   std::lock_guard lk(mu_);
   for (const Ledger& led : ledgers_) {
     if (led.arity == arity) return led.staged - led.consumed;
@@ -663,7 +692,7 @@ std::size_t SilentPadReceiver::ledger_available(std::size_t arity) const {
   return 0;
 }
 
-std::size_t SilentPadReceiver::ledger_available_total() const {
+std::size_t SilentPadReceiver::available_total() const {
   std::lock_guard lk(mu_);
   std::size_t total = 0;
   for (const Ledger& led : ledgers_) total += led.staged - led.consumed;
@@ -729,6 +758,8 @@ void SilentPadReceiver::abort() noexcept {
     }
   }
   for (Ledger& led : ledgers_) led.consumed = led.staged;
+  lk.unlock();
+  audit_abort(*this);
 }
 
 bool SilentPadReceiver::aborted() const {

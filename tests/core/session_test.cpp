@@ -38,11 +38,9 @@ TEST(ProtocolDigest, IgnoresLocalPerformanceKnobs) {
   const auto cfg = SchemeConfig::fast_simulation();
   auto tuned = cfg;
   tuned.ompe.eval_threads = 1;
-  // The silent-OT tuning knobs are local too: the reservoir and its batch
-  // sizes never change wire bytes (staging is sized by protocol constants).
+  // The silent-OT reservoir is local too: it never changes wire bytes
+  // (staging is sized by protocol constants).
   tuned.reservoir = true;
-  tuned.refill_batch = 7;
-  tuned.ot_low_water = 3;
   EXPECT_EQ(protocol_digest(profile, cfg), protocol_digest(profile, tuned));
 }
 
@@ -61,7 +59,6 @@ TEST(ProtocolDigest, SilentPrecomputeIsHashed) {
             similarity_digest(svm::Kernel::linear(), space, silent));
   auto tuned = silent;
   tuned.reservoir = true;
-  tuned.refill_batch = 9;
   EXPECT_EQ(similarity_digest(svm::Kernel::linear(), space, silent),
             similarity_digest(svm::Kernel::linear(), space, tuned));
 }

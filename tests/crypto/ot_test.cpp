@@ -316,7 +316,7 @@ TEST(PrecomputedEngine, KOutOfNMatchesMessages) {
         BatchedOtSender s(test_group(), rng);
         s.reserve(ch, n, k);
         s.send(ch, msgs, k);
-        return s.remaining(n);
+        return s.available_slots(n);
       },
       [&](net::Endpoint& ch) {
         Rng rng(62);
@@ -346,14 +346,14 @@ TEST(PrecomputedEngine, SlotsForFormula) {
       [&](net::Endpoint& ch) {
         Rng rng(63);
         BatchedOtSender s(test_group(), rng);
-        s.reserve(ch, slots);
+        s.reserve(ch, 2, slots);
         s.send(ch, msgs, k);
-        return s.remaining(2);
+        return s.available_slots(2);
       },
       [&](net::Endpoint& ch) {
         Rng rng(64);
         BatchedOtReceiver r(test_group(), rng);
-        r.reserve(ch, slots);
+        r.reserve(ch, 2, slots);
         const std::vector<std::size_t> want{0, 150, 299};
         return r.receive(ch, want, n, 4);
       });
@@ -372,7 +372,7 @@ TEST(PrecomputedEngine, MultipleTransfersFromOnePool) {
         BatchedOtSender s(test_group(), rng);
         s.reserve(ch, /*arity=*/6, /*count=*/3 * 2);
         for (int round = 0; round < 3; ++round) s.send(ch, msgs, 2);
-        return s.remaining(6);
+        return s.available_slots(6);
       },
       [&](net::Endpoint& ch) {
         Rng rng(66);
@@ -449,10 +449,10 @@ TEST(BatchedEngine, ReserveThenTransfer) {
         Rng rng(75);
         BatchedOtSender s(test_group(), rng);
         s.reserve(ch, /*arity=*/8, /*count=*/2);
-        EXPECT_EQ(s.remaining(8), 2u);
-        EXPECT_GE(s.remaining(), 2u);
+        EXPECT_EQ(s.available_slots(8), 2u);
+        EXPECT_GE(s.available_slots(), 2u);
         s.send(ch, msgs, 2);
-        EXPECT_EQ(s.remaining(8), 0u);  // no hidden refill happened
+        EXPECT_EQ(s.available_slots(8), 0u);  // no hidden refill happened
         return 0;
       },
       [&](net::Endpoint& ch) {
@@ -461,7 +461,7 @@ TEST(BatchedEngine, ReserveThenTransfer) {
         r.reserve(ch, /*arity=*/8, /*count=*/2);
         const std::vector<std::size_t> want{1, 6};
         auto got = r.receive(ch, want, 8, 16);
-        EXPECT_EQ(r.remaining(8), 0u);
+        EXPECT_EQ(r.available_slots(8), 0u);
         return got;
       });
   ASSERT_EQ(outcome.b.size(), 2u);
@@ -476,13 +476,13 @@ TEST(BatchedEngine, FallsBackToBitDecompositionBeyondDirectArity) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(85);
-        BatchedOtSender s(test_group(), rng, /*refill_batch=*/4);
+        BatchedOtSender s(test_group(), rng);
         s.send(ch, msgs, 1);
-        return s.remaining(300);
+        return s.available_slots(300);
       },
       [&](net::Endpoint& ch) {
         Rng rng(86);
-        BatchedOtReceiver r(test_group(), rng, /*refill_batch=*/4);
+        BatchedOtReceiver r(test_group(), rng);
         const std::vector<std::size_t> want{271};
         return r.receive(ch, want, 300, 4);
       });
@@ -492,20 +492,22 @@ TEST(BatchedEngine, FallsBackToBitDecompositionBeyondDirectArity) {
 }
 
 TEST(BatchedEngine, AutoRefillsWithoutReserve) {
+  // An unreserved transfer tops the pool up by one kDhTopUpSlots batch.
   const auto msgs = make_messages(4, 8);
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(77);
-        BatchedOtSender s(test_group(), rng, /*refill_batch=*/4);
+        BatchedOtSender s(test_group(), rng);
         s.send(ch, msgs, 1);
-        return 0;
+        return s.available_slots(4);
       },
       [&](net::Endpoint& ch) {
         Rng rng(78);
-        BatchedOtReceiver r(test_group(), rng, /*refill_batch=*/4);
+        BatchedOtReceiver r(test_group(), rng);
         const std::vector<std::size_t> want{3};
         return r.receive(ch, want, 4, 8);
       });
+  EXPECT_EQ(outcome.a, kDhTopUpSlots - 1);
   ASSERT_EQ(outcome.b.size(), 1u);
   EXPECT_EQ(outcome.b[0], msgs[3]);
 }
@@ -519,11 +521,11 @@ TEST(BatchedEngine, AbortWipesPoolAndRefusesFurtherUse) {
   Rng rng_s(91), rng_r(92);
   BatchedOtSender s(test_group(), rng_s);
   BatchedOtReceiver r(test_group(), rng_r);
-  std::thread peer([&r, &b_ref = b] { r.reserve(b_ref, 6); });
-  s.reserve(a, 6);
+  std::thread peer([&r, &b_ref = b] { r.reserve(b_ref, 2, 6); });
+  s.reserve(a, 2, 6);
   peer.join();
-  ASSERT_GE(s.remaining(), 6u);
-  ASSERT_GE(r.remaining(), 6u);
+  ASSERT_GE(s.available_slots(), 6u);
+  ASSERT_GE(r.available_slots(), 6u);
   EXPECT_FALSE(s.pool_wiped());  // pads are random key material
   EXPECT_FALSE(s.aborted());
 
@@ -536,10 +538,10 @@ TEST(BatchedEngine, AbortWipesPoolAndRefusesFurtherUse) {
 
   const auto msgs = make_messages(4, 8);
   EXPECT_THROW(s.send(a, msgs, 1), ProtocolError);
-  EXPECT_THROW(s.reserve(a, 1), ProtocolError);
+  EXPECT_THROW(s.reserve(a, 2, 1), ProtocolError);
   const std::vector<std::size_t> want{0};
   EXPECT_THROW(r.receive(b, want, 4, 8), ProtocolError);
-  EXPECT_THROW(r.reserve(b, 1), ProtocolError);
+  EXPECT_THROW(r.reserve(b, 2, 1), ProtocolError);
 }
 
 TEST(BatchedEngine, AbortIsIdempotent) {
@@ -561,31 +563,35 @@ TEST(BatchedEngine, EmptyPoolReportsWiped) {
 }
 
 TEST(BatchedEngine, RefillsMidSessionAcrossManyTransfers) {
-  // refill_batch smaller than a transfer's need forces repeated symmetric
-  // top-ups across rounds.
+  // 70 rounds of 2 direct slots = 140 > kDhTopUpSlots: the pool runs dry
+  // mid-session and both sides top up again, symmetrically.
   const auto msgs = make_messages(6, 16);
+  constexpr std::size_t kRounds = 70;
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(79);
-        BatchedOtSender s(test_group(), rng, /*refill_batch=*/2);
-        for (int round = 0; round < 3; ++round) s.send(ch, msgs, 2);
-        return 0;
+        BatchedOtSender s(test_group(), rng);
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          s.send(ch, msgs, 2);
+        }
+        return s.available_slots(6);
       },
       [&](net::Endpoint& ch) {
         Rng rng(80);
-        BatchedOtReceiver r(test_group(), rng, /*refill_batch=*/2);
+        BatchedOtReceiver r(test_group(), rng);
         std::vector<Bytes> all;
-        for (std::size_t round = 0; round < 3; ++round) {
-          const std::vector<std::size_t> want{round, round + 3};
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          const std::vector<std::size_t> want{round % 3, round % 3 + 3};
           auto got = r.receive(ch, want, 6, 16);
           all.insert(all.end(), got.begin(), got.end());
         }
         return all;
       });
-  ASSERT_EQ(outcome.b.size(), 6u);
-  for (std::size_t round = 0; round < 3; ++round) {
-    EXPECT_EQ(outcome.b[2 * round], msgs[round]);
-    EXPECT_EQ(outcome.b[2 * round + 1], msgs[round + 3]);
+  EXPECT_EQ(outcome.a, 2 * kDhTopUpSlots - 2 * kRounds);  // two top-ups
+  ASSERT_EQ(outcome.b.size(), 2 * kRounds);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    EXPECT_EQ(outcome.b[2 * round], msgs[round % 3]);
+    EXPECT_EQ(outcome.b[2 * round + 1], msgs[round % 3 + 3]);
   }
 }
 

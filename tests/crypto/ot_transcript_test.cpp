@@ -94,15 +94,15 @@ template <typename SendScript, typename RecvScript>
 Digests run_engines(Offline mode, SendScript&& send_script,
                     RecvScript&& recv_script,
                     const std::vector<Bytes>& expected) {
-  const bool silent = mode != Offline::kDhBatch;
+  const OtOffline offline =
+      mode == Offline::kDhBatch ? OtOffline::kDhBatch : OtOffline::kSilent;
   const bool reservoir = mode == Offline::kSilentReservoir;
   return capture(
       [&](net::Endpoint& ch) {
         Rng rng(9101);
         std::optional<PadReservoir> pool;
         if (reservoir) pool.emplace(1);
-        BatchedOtSender s(test_group(), rng);
-        if (silent) s.enable_silent(16);
+        BatchedOtSender s(test_group(), rng, offline);
         if (reservoir) s.attach_reservoir(*pool);
         send_script(ch, s);
         return 0;
@@ -111,8 +111,7 @@ Digests run_engines(Offline mode, SendScript&& send_script,
         Rng rng(9102);
         std::optional<PadReservoir> pool;
         if (reservoir) pool.emplace(1);
-        BatchedOtReceiver r(test_group(), rng);
-        if (silent) r.enable_silent(16);
+        BatchedOtReceiver r(test_group(), rng, offline);
         if (reservoir) r.attach_reservoir(*pool);
         const std::vector<Bytes> got = recv_script(ch, r);
         EXPECT_EQ(got, expected) << mode_name(mode);

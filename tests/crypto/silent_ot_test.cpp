@@ -146,15 +146,13 @@ TEST(BatchedSilent, OnlineTransferMatchesMessages) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(111);
-        BatchedOtSender s(test_group(), rng);
-        s.enable_silent(/*low_water=*/4);
+        BatchedOtSender s(test_group(), rng, OtOffline::kSilent);
         for (int round = 0; round < 3; ++round) s.send(ch, msgs, 2);
         return s.available_slots(8);
       },
       [&](net::Endpoint& ch) {
         Rng rng(112);
-        BatchedOtReceiver r(test_group(), rng);
-        r.enable_silent(/*low_water=*/4);
+        BatchedOtReceiver r(test_group(), rng, OtOffline::kSilent);
         std::vector<Bytes> all;
         for (std::size_t round = 0; round < 3; ++round) {
           const std::vector<std::size_t> want{round, round + 5};
@@ -178,15 +176,13 @@ TEST(BatchedSilent, BitDecompositionFallbackBeyondDirectArity) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(113);
-        BatchedOtSender s(test_group(), rng);
-        s.enable_silent(4);
+        BatchedOtSender s(test_group(), rng, OtOffline::kSilent);
         s.send(ch, msgs, 1);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(114);
-        BatchedOtReceiver r(test_group(), rng);
-        r.enable_silent(4);
+        BatchedOtReceiver r(test_group(), rng, OtOffline::kSilent);
         const std::vector<std::size_t> want{271};
         return r.receive(ch, want, 300, 4);
       });
@@ -200,8 +196,7 @@ TEST(BatchedSilent, WarmReservoirMakesTakeNonBlocking) {
       [&](net::Endpoint& ch) {
         Rng rng(115);
         PadReservoir reservoir(1);
-        BatchedOtSender s(test_group(), rng);
-        s.enable_silent(/*low_water=*/8);
+        BatchedOtSender s(test_group(), rng, OtOffline::kSilent);
         s.attach_reservoir(reservoir);
         s.reserve(ch, 8, 4);
         // Let the background worker finish expanding the staged block, then
@@ -221,8 +216,7 @@ TEST(BatchedSilent, WarmReservoirMakesTakeNonBlocking) {
       [&](net::Endpoint& ch) {
         Rng rng(116);
         PadReservoir reservoir(1);
-        BatchedOtReceiver r(test_group(), rng);
-        r.enable_silent(/*low_water=*/8);
+        BatchedOtReceiver r(test_group(), rng, OtOffline::kSilent);
         r.attach_reservoir(reservoir);
         r.reserve(ch, 8, 4);
         std::vector<Bytes> all;
@@ -252,8 +246,7 @@ TEST(BatchedSilent, TranscriptIndependentOfReservoir) {
         [&](net::Endpoint& ch) {
           Rng rng(117);
           PadReservoir reservoir(1);
-          BatchedOtSender s(test_group(), rng);
-          s.enable_silent(4);
+          BatchedOtSender s(test_group(), rng, OtOffline::kSilent);
           if (with_reservoir) s.attach_reservoir(reservoir);
           for (int round = 0; round < 3; ++round) s.send(ch, msgs, 2);
           return ch.stats().bytes;
@@ -261,8 +254,7 @@ TEST(BatchedSilent, TranscriptIndependentOfReservoir) {
         [&](net::Endpoint& ch) {
           Rng rng(118);
           PadReservoir reservoir(1);
-          BatchedOtReceiver r(test_group(), rng);
-          r.enable_silent(4);
+          BatchedOtReceiver r(test_group(), rng, OtOffline::kSilent);
           if (with_reservoir) r.attach_reservoir(reservoir);
           std::vector<Bytes> all;
           for (std::size_t round = 0; round < 3; ++round) {
@@ -290,8 +282,8 @@ TEST(BatchedSilent, AbortWipesFrontierAndPads) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(121);
-        auto s = std::make_unique<BatchedOtSender>(test_group(), rng);
-        s->enable_silent(4);
+        auto s = std::make_unique<BatchedOtSender>(test_group(), rng,
+                                                     OtOffline::kSilent);
         s->reserve(ch, 6, 8);  // staged ledger + pending correction bytes
         s->abort();
         EXPECT_TRUE(s->aborted());
@@ -303,8 +295,8 @@ TEST(BatchedSilent, AbortWipesFrontierAndPads) {
       },
       [&](net::Endpoint& ch) {
         Rng rng(122);
-        auto r = std::make_unique<BatchedOtReceiver>(test_group(), rng);
-        r->enable_silent(4);
+        auto r = std::make_unique<BatchedOtReceiver>(test_group(), rng,
+                                                       OtOffline::kSilent);
         r->reserve(ch, 6, 8);
         r->abort();
         EXPECT_TRUE(r->aborted());
@@ -335,8 +327,7 @@ TEST(BatchedSilent, AbortRacesBackgroundRefill) {
     auto outcome = net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng rng(131 + static_cast<std::uint64_t>(round));
-          BatchedOtSender s(test_group(), rng);
-          s.enable_silent(4);
+          BatchedOtSender s(test_group(), rng, OtOffline::kSilent);
           s.attach_reservoir(reservoir);
           s.reserve(ch, 6, 64);  // plenty of pending expansion work
           s.abort();             // while the worker may be mid-step
@@ -348,8 +339,7 @@ TEST(BatchedSilent, AbortRacesBackgroundRefill) {
         },
         [&](net::Endpoint& ch) {
           Rng rng(161 + static_cast<std::uint64_t>(round));
-          BatchedOtReceiver r(test_group(), rng);
-          r.enable_silent(4);
+          BatchedOtReceiver r(test_group(), rng, OtOffline::kSilent);
           r.attach_reservoir(reservoir);
           r.reserve(ch, 6, 64);
           r.abort();
@@ -375,8 +365,7 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
       [&](net::Endpoint& ch) {
         Rng rng(141);
         PadReservoir reservoir(1);
-        BatchedOtSender s(test_group(), rng);
-        s.enable_silent(4);
+        BatchedOtSender s(test_group(), rng, OtOffline::kSilent);
         s.attach_reservoir(reservoir);
         std::atomic<bool> done{false};
         std::thread hammer([&] {
@@ -389,7 +378,6 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
             // protocol thread legitimately stages between them.
             ASSERT_LE(s.available_slots(), bound);
             ASSERT_LE(s.available_slots(8), bound);
-            (void)s.remaining();
           }
         });
         for (int round = 0; round < 6; ++round) s.send(ch, msgs, 2);
@@ -401,8 +389,7 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
       [&](net::Endpoint& ch) {
         Rng rng(142);
         PadReservoir reservoir(1);
-        BatchedOtReceiver r(test_group(), rng);
-        r.enable_silent(4);
+        BatchedOtReceiver r(test_group(), rng, OtOffline::kSilent);
         r.attach_reservoir(reservoir);
         std::atomic<bool> done{false};
         std::thread hammer([&] {
@@ -411,7 +398,6 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
           while (!done.load()) {
             ASSERT_LE(r.available_slots(), bound);
             ASSERT_LE(r.available_slots(8), bound);
-            (void)r.remaining();
           }
         });
         std::vector<Bytes> all;

@@ -318,10 +318,10 @@ TEST(Chaos, PrecomputedEngineAbortsWipeOtPools) {
   crypto::BatchedOtSender sender(group, rng_s);
   crypto::BatchedOtReceiver receiver(group, rng_r);
 
-  std::thread peer([&receiver, &b = end_b] { receiver.reserve(b, 4); });
-  sender.reserve(end_a, 4);
+  std::thread peer([&receiver, &b = end_b] { receiver.reserve(b, 2, 4); });
+  sender.reserve(end_a, 2, 4);
   peer.join();
-  ASSERT_GE(sender.remaining(), 4u);
+  ASSERT_GE(sender.available_slots(), 4u);
   ASSERT_FALSE(sender.pool_wiped());  // live key material present
 
   // Tear the link down mid-protocol, as an injected disconnect would.
@@ -401,10 +401,9 @@ TEST(Chaos, SilentAbortsWipeWithRefillThreadRacing) {
     end_b.set_recv_deadline(net::Deadline::after(std::chrono::seconds(5)));
 
     Rng rng_s(splitmix64(seed, 2)), rng_r(splitmix64(seed, 3));
-    crypto::BatchedOtSender sender(group, rng_s);
-    crypto::BatchedOtReceiver receiver(group, rng_r);
-    sender.enable_silent(4);
-    receiver.enable_silent(4);
+    crypto::BatchedOtSender sender(group, rng_s, crypto::OtOffline::kSilent);
+    crypto::BatchedOtReceiver receiver(group, rng_r,
+                                       crypto::OtOffline::kSilent);
     sender.attach_reservoir(reservoir);
     receiver.attach_reservoir(reservoir);
 

@@ -78,23 +78,21 @@ bool eventually(const Pred& done,
 }
 
 TEST(ScenarioSpec, SilentAndReservoirTokensRoundTrip) {
-  const ScenarioSpec spec =
-      ScenarioSpec::parse("diabetes:poly:silent:reservoir:refill=32");
+  const ScenarioSpec spec = ScenarioSpec::parse("diabetes:poly:silent:reservoir");
   EXPECT_EQ(spec.preset, ScenarioSpec::Preset::kSilent);
   EXPECT_TRUE(spec.reservoir);
-  EXPECT_EQ(spec.refill_batch, 32u);
-  EXPECT_EQ(spec.to_string(), "diabetes:poly:silent:reservoir:refill=32");
+  EXPECT_EQ(spec.to_string(), "diabetes:poly:silent:reservoir");
 
-  // The knobs land in the config; silent implies the precomputed engine
+  // The knob lands in the config; silent implies the precomputed engine
   // with the PPRF offline phase.
   const Scenario s = Scenario::make(spec, 1);
   EXPECT_TRUE(s.config.silent_precompute);
   EXPECT_TRUE(s.config.reservoir);
-  EXPECT_EQ(s.config.refill_batch, 32u);
   EXPECT_EQ(s.config.ot_engine, core::OtEngine::kPrecomputed);
 
-  EXPECT_THROW(ScenarioSpec::parse("diabetes:refill=0"), InvalidArgument);
-  EXPECT_THROW(ScenarioSpec::parse("diabetes:refill=bogus"), InvalidArgument);
+  // The refill batch is a protocol constant now, not a token.
+  EXPECT_THROW(ScenarioSpec::parse("diabetes:silent:refill=32"),
+               InvalidArgument);
   EXPECT_THROW(ScenarioSpec::parse("diabetes:resevoir"), InvalidArgument);
 }
 
