@@ -77,6 +77,8 @@ void run_precomputed(std::size_t queries) {
         Rng rng(2);
         Split split;
         Stopwatch offline;
+        // ClassificationServer::serve stamps its offline frames kOtSetup.
+        ch.set_stage(net::Stage::kOtSetup);
         core::OtBundle ot(cfg, rng);
         const auto demand =
             core::ot_demand_per_query(cfg.ompe, profile.declared_degree);
