@@ -42,6 +42,11 @@ struct DataSpace {
 
 /// --- Plaintext geometry (baseline + building blocks) -----------------------
 
+/// Largest data-space dimension the boundary enumeration below serves: it
+/// visits n * 2^(n-1) edges, so every similarity evaluation (plaintext or
+/// private) is capped here.
+inline constexpr std::size_t kMaxBoundaryDim = 20;
+
 /// Boundary points of the hyperplane w.t + b = 0 within the data space:
 /// Eq. (5) corner enumeration — for each dimension treated as the free
 /// variable, solve at every corner assignment of the remaining dimensions

@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -240,7 +241,9 @@ class Daemon {
   Scenario scenario_;
   DaemonOptions options_;
   core::ClassificationServer classification_;
-  core::SimilarityServer similarity_;
+  /// Built only within core::kMaxBoundaryDim; on wider scenarios a
+  /// similarity select fails the session closed.
+  std::optional<core::SimilarityServer> similarity_;
   net::SocketListener listener_;
   DaemonStats stats_;
   /// Shared background pad-refill service (scenario `:reservoir` only).

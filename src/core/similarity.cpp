@@ -14,7 +14,7 @@ namespace {
 /// the caller to fill.
 template <typename Visit>
 void for_each_edge(std::size_t n, const DataSpace& space, Visit&& visit) {
-  detail::require(n >= 1 && n <= 20,
+  detail::require(n >= 1 && n <= kMaxBoundaryDim,
                   "boundary enumeration: dimension too large (2^(n-1) edges)");
   math::Vec point(n, 0.0);
   for (std::size_t free_dim = 0; free_dim < n; ++free_dim) {

@@ -46,10 +46,13 @@ Daemon::Daemon(Scenario scenario, DaemonOptions options)
       options_(options),
       classification_(scenario_.server_model, scenario_.profile,
                       scenario_.config),
-      similarity_(scenario_.server_model, scenario_.space, scenario_.config),
       listener_(options_.address) {
   if (options_.workers == 0) {
     throw InvalidArgument("daemon: need at least one worker");
+  }
+  if (scenario_.server_model.dim() <= core::kMaxBoundaryDim) {
+    similarity_.emplace(scenario_.server_model, scenario_.space,
+                        scenario_.config);
   }
 }
 
@@ -402,7 +405,11 @@ bool Daemon::run_one_session(Connection& conn) {
                             options_.max_queries, conn.ot.get());
         break;
       case Service::kSimilarity:
-        core::serve_similarity_session(similarity_, scenario_.profile.kernel,
+        if (!similarity_) {
+          throw ProtocolError("daemon: similarity needs dimension <= " +
+                              std::to_string(core::kMaxBoundaryDim));
+        }
+        core::serve_similarity_session(*similarity_, scenario_.profile.kernel,
                                        scenario_.space, scenario_.config,
                                        channel, conn.rng);
         break;

@@ -126,6 +126,49 @@ TEST(Daemon, ServesClassificationAndSimilarityOverTcpLoopback) {
   EXPECT_EQ(daemon.stats().sessions_failed.load(), 0u);
 }
 
+TEST(Daemon, ServesClassificationAboveTheSimilarityCap) {
+  // ionosphere has 34 features, past core::kMaxBoundaryDim: the daemon
+  // still serves classification, and a similarity select fails closed
+  // without taking the daemon down.
+  const Scenario scenario = Scenario::make("ionosphere:linear:fast", 2029);
+  ASSERT_GT(scenario.server_model.dim(), core::kMaxBoundaryDim);
+  Daemon daemon(scenario, loopback_options());
+  daemon.start();
+
+  const std::vector<std::vector<double>> samples(scenario.queries.begin(),
+                                                 scenario.queries.begin() + 3);
+  Rng rng(42);
+  auto channel = connect_to(daemon);
+  const std::vector<int> labels =
+      client_classify(*channel, scenario, samples, rng);
+  ASSERT_EQ(labels.size(), samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(labels[i], scenario.server_model.predict(samples[i]));
+  }
+  // The client side cannot evaluate either (core::SimilarityClient hits
+  // the same cap), so select the service by hand, as a peer with its own
+  // similarity code would: the daemon fails the session closed.
+  channel->send(Bytes{static_cast<std::uint8_t>(Service::kSimilarity)});
+  EXPECT_THROW(channel->recv(), ProtocolError);
+  channel.reset();
+
+  // The worker survived: a fresh connection classifies again.
+  auto again = connect_to(daemon);
+  EXPECT_EQ(client_classify(*again, scenario, samples, rng), labels);
+  client_goodbye(*again);
+  again.reset();
+
+  EXPECT_TRUE(eventually([&] {
+    return daemon.stats().connections_closed.load() +
+               daemon.stats().connections_failed.load() >=
+           2;
+  }));
+  daemon.stop();
+  EXPECT_EQ(daemon.stats().sessions_ok.load(), 2u);
+  EXPECT_EQ(daemon.stats().sessions_failed.load(), 1u);
+  EXPECT_TRUE(daemon.stats().snapshot().books_balance());
+}
+
 TEST(Daemon, SocketTranscriptsBitIdenticalToInProcessPath) {
   // The acceptance bar for the whole subsystem: one sequential client
   // against ppdsd produces byte-for-byte the payload schedule of the
