@@ -212,7 +212,7 @@ struct OtAbortAudit {
 
 OtAbortAudit& ot_abort_audit();
 
-/// --- Slot sources -------------------------------------------------------------
+/// --- Slot sources ------------------------------------------------------------
 ///
 /// The seam between the batched facade below and its offline phase. A
 /// source hands out precomputed slots of any arity and tops its per-arity

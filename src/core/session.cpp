@@ -1,5 +1,7 @@
 #include "ppds/core/session.hpp"
 
+#include <optional>
+
 #include "ppds/common/hex.hpp"
 #include "ppds/crypto/sha256.hpp"
 #include "ppds/net/framing.hpp"
@@ -47,12 +49,16 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
   return crypto::sha256(w.data());
 }
 
-void serve_session(const ClassificationServer& server,
-                   const ClassificationProfile& profile,
-                   const SchemeConfig& config, net::Endpoint& channel,
-                   Rng& rng, std::size_t max_queries, OtBundle* external) {
-  const crypto::Digest mine = protocol_digest(profile, config);
+namespace {
 
+/// Server half of the hello/ack exchange. Classification hellos carry a
+/// u64 query count after the session id, bounded by \p max_queries;
+/// similarity hellos carry none (nullopt). Returns the count (0 without
+/// one) only when both sides agreed; both endpoints have then adopted the
+/// client-proposed session id.
+std::uint64_t handshake_server(net::Endpoint& channel,
+                               const crypto::Digest& mine,
+                               std::optional<std::size_t> max_queries) {
   channel.set_stage(net::Stage::kHandshake);
   const Bytes hello = channel.recv();
   ByteReader r(hello);
@@ -63,13 +69,15 @@ void serve_session(const ClassificationServer& server,
   const std::uint32_t version = r.u32();
   const Bytes theirs = r.raw(mine.size());
   const std::uint64_t session_id = r.u64();
-  const std::uint64_t count = r.u64();
+  const std::uint64_t count = max_queries ? r.u64() : 0;
   r.expect_end();
 
   const bool digests_match =
       std::equal(theirs.begin(), theirs.end(), mine.begin());
-  const bool acceptable = version == kProtocolVersion && digests_match &&
-                          count >= 1 && count <= max_queries;
+  const bool count_ok =
+      !max_queries || (count >= 1 && count <= *max_queries);
+  const bool acceptable =
+      version == kProtocolVersion && digests_match && count_ok;
 
   ByteWriter ack;
   ack.u8(acceptable ? 1 : 0);
@@ -84,75 +92,13 @@ void serve_session(const ClassificationServer& server,
   }
   // Every post-handshake frame is pinned to the negotiated session id.
   channel.set_session_id(session_id);
-  server.serve(channel, count, rng, external);
+  return count;
 }
 
-std::vector<int> classify_session(
-    const ClassificationClient& client, const ClassificationProfile& profile,
-    const SchemeConfig& config, net::Endpoint& channel,
-    const std::vector<std::vector<double>>& samples, Rng& rng,
-    OtBundle* external) {
-  detail::require(!samples.empty(), "session: no samples");
-  const crypto::Digest mine = protocol_digest(profile, config);
-
-  channel.set_stage(net::Stage::kHandshake);
-  const std::uint64_t session_id = rng();
-  ByteWriter hello;
-  hello.raw(std::span<const std::uint8_t>(kMagic, 4));
-  hello.u32(kProtocolVersion);
-  hello.raw(std::span<const std::uint8_t>(mine.data(), mine.size()));
-  hello.u64(session_id);
-  hello.u64(samples.size());
-  channel.send(hello.take());
-
-  const Bytes ack = channel.recv();
-  ByteReader r(ack);
-  const std::uint8_t status = r.u8();
-  const Bytes server_digest = r.raw(mine.size());
-  r.expect_end();
-  if (status != 1) {
-    throw ProtocolError("session: server denied the parameters (digest " +
-                        to_hex(server_digest).substr(0, 16) + "... vs ours " +
-                        to_hex(mine).substr(0, 16) + "...)");
-  }
-  channel.set_session_id(session_id);
-  return client.classify_batch(channel, samples, rng, external);
-}
-
-namespace {
-
-/// Shared hello/ack exchange on a precomputed digest. Returns normally only
-/// when both sides agreed; on success both endpoints have adopted the
-/// client-proposed session id.
-void handshake_server(net::Endpoint& channel, const crypto::Digest& mine) {
-  channel.set_stage(net::Stage::kHandshake);
-  const Bytes hello = channel.recv();
-  ByteReader r(hello);
-  const Bytes magic = r.raw(4);
-  if (!std::equal(magic.begin(), magic.end(), kMagic)) {
-    throw ProtocolError("session: bad magic");
-  }
-  const std::uint32_t version = r.u32();
-  const Bytes theirs = r.raw(mine.size());
-  const std::uint64_t session_id = r.u64();
-  r.expect_end();
-  const bool acceptable =
-      version == kProtocolVersion &&
-      std::equal(theirs.begin(), theirs.end(), mine.begin());
-  ByteWriter ack;
-  ack.u8(acceptable ? 1 : 0);
-  ack.raw(std::span<const std::uint8_t>(mine.data(), mine.size()));
-  channel.send(ack.take());
-  if (!acceptable) {
-    throw ProtocolError(version != kProtocolVersion
-                            ? "session: protocol version mismatch"
-                            : "session: parameter digest mismatch");
-  }
-  channel.set_session_id(session_id);
-}
-
+/// Client half: proposes a session id and, for classification, the query
+/// \p count.
 void handshake_client(net::Endpoint& channel, const crypto::Digest& mine,
-                      Rng& rng) {
+                      Rng& rng, std::optional<std::uint64_t> count) {
   channel.set_stage(net::Stage::kHandshake);
   const std::uint64_t session_id = rng();
   ByteWriter hello;
@@ -160,7 +106,9 @@ void handshake_client(net::Endpoint& channel, const crypto::Digest& mine,
   hello.u32(kProtocolVersion);
   hello.raw(std::span<const std::uint8_t>(mine.data(), mine.size()));
   hello.u64(session_id);
+  if (count) hello.u64(*count);
   channel.send(hello.take());
+
   const Bytes ack = channel.recv();
   ByteReader r(ack);
   const std::uint8_t status = r.u8();
@@ -175,6 +123,26 @@ void handshake_client(net::Endpoint& channel, const crypto::Digest& mine,
 }
 
 }  // namespace
+
+void serve_session(const ClassificationServer& server,
+                   const ClassificationProfile& profile,
+                   const SchemeConfig& config, net::Endpoint& channel,
+                   Rng& rng, std::size_t max_queries, OtBundle* external) {
+  const std::uint64_t count = handshake_server(
+      channel, protocol_digest(profile, config), max_queries);
+  server.serve(channel, count, rng, external);
+}
+
+std::vector<int> classify_session(
+    const ClassificationClient& client, const ClassificationProfile& profile,
+    const SchemeConfig& config, net::Endpoint& channel,
+    const std::vector<std::vector<double>>& samples, Rng& rng,
+    OtBundle* external) {
+  detail::require(!samples.empty(), "session: no samples");
+  handshake_client(channel, protocol_digest(profile, config), rng,
+                   samples.size());
+  return client.classify_batch(channel, samples, rng, external);
+}
 
 crypto::Digest similarity_digest(const svm::Kernel& kernel,
                                  const DataSpace& space,
@@ -202,7 +170,8 @@ void serve_similarity_session(const SimilarityServer& server,
                               const DataSpace& space,
                               const SchemeConfig& config,
                               net::Endpoint& channel, Rng& rng) {
-  handshake_server(channel, similarity_digest(kernel, space, config));
+  handshake_server(channel, similarity_digest(kernel, space, config),
+                   std::nullopt);
   server.serve(channel, rng);
 }
 
@@ -211,7 +180,8 @@ double evaluate_similarity_session(const SimilarityClient& client,
                                    const DataSpace& space,
                                    const SchemeConfig& config,
                                    net::Endpoint& channel, Rng& rng) {
-  handshake_client(channel, similarity_digest(kernel, space, config), rng);
+  handshake_client(channel, similarity_digest(kernel, space, config), rng,
+                   std::nullopt);
   return client.evaluate(channel, rng);
 }
 

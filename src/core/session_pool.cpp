@@ -42,16 +42,6 @@ std::chrono::milliseconds retry_backoff(const RetryPolicy& retry,
 
 namespace {
 
-std::uint64_t attempt_seed(std::uint64_t base, std::size_t attempt) {
-  return retry_attempt_seed(base, attempt);
-}
-
-std::chrono::milliseconds backoff_delay(const RetryPolicy& retry,
-                                        std::size_t attempt,
-                                        std::uint64_t jitter_stream) {
-  return retry_backoff(retry, attempt, jitter_stream);
-}
-
 /// Runs \p body(attempt) under the retry policy: ProtocolError (timeouts,
 /// fault-corrupted frames, closed channels, backpressure) triggers a
 /// backed-off re-run with the next attempt index; anything else — and the
@@ -66,7 +56,7 @@ auto run_with_retry(const RetryPolicy& retry, std::uint64_t jitter_stream,
       return body(attempt);
     } catch (const ProtocolError&) {
       if (attempt + 1 >= attempts) throw;
-      const auto delay = backoff_delay(retry, attempt + 1, jitter_stream);
+      const auto delay = retry_backoff(retry, attempt + 1, jitter_stream);
       if (delay.count() > 0) std::this_thread::sleep_for(delay);
     }
   }
@@ -176,13 +166,14 @@ std::vector<int> SessionPool::classify_batch(
                 auto outcome = net::run_two_party_on(
                     *wires.a, *wires.b,
                     [&](net::Endpoint& channel) {
-                      Rng rng(attempt_seed(chunk_seed(seed, 2 * c), attempt));
+                      Rng rng(retry_attempt_seed(chunk_seed(seed, 2 * c),
+                                                 attempt));
                       serve_session(*server_, profile_, config_, channel, rng);
                       return 0;
                     },
                     [&](net::Endpoint& channel) {
-                      Rng rng(
-                          attempt_seed(chunk_seed(seed, 2 * c + 1), attempt));
+                      Rng rng(retry_attempt_seed(chunk_seed(seed, 2 * c + 1),
+                                                 attempt));
                       return classify_session(*client_, profile_, config_,
                                               channel, chunk, rng);
                     });
@@ -230,13 +221,15 @@ std::vector<double> SimilaritySessionPool::evaluate_batch(
             auto outcome = net::run_two_party_on(
                 *wires.a, *wires.b,
                 [&](net::Endpoint& channel) {
-                  Rng rng(attempt_seed(chunk_seed(seed, 2 * i), attempt));
+                  Rng rng(
+                      retry_attempt_seed(chunk_seed(seed, 2 * i), attempt));
                   serve_similarity_session(*server_, kernel_, space_, config_,
                                            channel, rng);
                   return 0;
                 },
                 [&](net::Endpoint& channel) {
-                  Rng rng(attempt_seed(chunk_seed(seed, 2 * i + 1), attempt));
+                  Rng rng(retry_attempt_seed(chunk_seed(seed, 2 * i + 1),
+                                             attempt));
                   return evaluate_similarity_session(*client_, kernel_, space_,
                                                      config_, channel, rng);
                 });

@@ -503,7 +503,7 @@ OtAbortAudit& ot_abort_audit() {
   return audit;
 }
 
-/// --- DH-batch slot source ---------------------------------------------------------
+/// --- DH-batch slot source --------------------------------------------------
 
 namespace {
 
@@ -546,7 +546,8 @@ class DhBatchSource final : public SlotSource<Slot> {
   using Base =
       std::conditional_t<kSender, NaorPinkasSender, NaorPinkasReceiver>;
 
-  DhBatchSource(const DhGroup& group, Rng& rng) : base_(group, rng), rng_(rng) {}
+  DhBatchSource(const DhGroup& group, Rng& rng)
+      : base_(group, rng), rng_(rng) {}
 
   ~DhBatchSource() override {
     for (Pool& pool : pools_) {
@@ -571,8 +572,8 @@ class DhBatchSource final : public SlotSource<Slot> {
     }
     std::lock_guard lk(mu_);
     // Drop the consumed prefix (take() already moved its pads out).
-    pool.slots.erase(pool.slots.begin(),
-                     pool.slots.begin() + static_cast<std::ptrdiff_t>(pool.next));
+    const auto consumed = static_cast<std::ptrdiff_t>(pool.next);
+    pool.slots.erase(pool.slots.begin(), pool.slots.begin() + consumed);
     pool.next = 0;
     pool.slots.insert(pool.slots.end(), std::make_move_iterator(fresh.begin()),
                       std::make_move_iterator(fresh.end()));
@@ -812,7 +813,8 @@ std::vector<Bytes> BatchedOtReceiver::receive(
     source_->top_up(channel, n, indices.size());
     for (std::size_t index : indices) {
       PrecomputedRecvSlot slot = source_->take(n);
-      out.push_back(precomputed_receive_1ofn(channel, slot, index, message_len));
+      out.push_back(
+          precomputed_receive_1ofn(channel, slot, index, message_len));
       wipe_slot(slot);
     }
     return out;

@@ -78,7 +78,8 @@ bool eventually(const Pred& done,
 }
 
 TEST(ScenarioSpec, SilentAndReservoirTokensRoundTrip) {
-  const ScenarioSpec spec = ScenarioSpec::parse("diabetes:poly:silent:reservoir");
+  const ScenarioSpec spec =
+      ScenarioSpec::parse("diabetes:poly:silent:reservoir");
   EXPECT_EQ(spec.preset, ScenarioSpec::Preset::kSilent);
   EXPECT_TRUE(spec.reservoir);
   EXPECT_EQ(spec.to_string(), "diabetes:poly:silent:reservoir");
