@@ -23,9 +23,6 @@ class LowWaterQueue {
   LowWaterQueue() = default;
   explicit LowWaterQueue(std::size_t low_water) : low_water_(low_water) {}
 
-  void set_low_water(std::size_t mark) { low_water_ = mark; }
-  std::size_t low_water() const { return low_water_; }
-
   void push(T value) { items_.push_back(std::move(value)); }
 
   /// Pops the oldest element; throws if empty (the caller's ledger must
@@ -44,18 +41,11 @@ class LowWaterQueue {
   /// level sinks under the mark.
   bool below_low_water() const { return items_.size() < low_water_; }
 
-  /// Producer-side gap to the mark (how much to refill).
-  std::size_t deficit() const {
-    return items_.size() < low_water_ ? low_water_ - items_.size() : 0;
-  }
-
   /// Direct element access for the owner's secure-wipe sweeps: the queue is
   /// a container of key material and the engine must be able to zero every
   /// element in place on abort.
   std::deque<T>& items() { return items_; }
   const std::deque<T>& items() const { return items_; }
-
-  void clear() { items_.clear(); }
 
  private:
   std::deque<T> items_;

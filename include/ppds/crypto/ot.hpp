@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ppds/common/bytes.hpp"
+#include "ppds/common/error.hpp"
 #include "ppds/common/rng.hpp"
 #include "ppds/common/secret_taint.hpp"
 #include "ppds/crypto/group.hpp"
@@ -161,6 +162,14 @@ struct PrecomputedRecvSlot {
   std::uint32_t arity = 2;
 };
 
+/// Zeroes a slot's pads (and the receiver's choice) in place.
+void wipe_slot(PrecomputedSendSlot& slot);
+void wipe_slot(PrecomputedRecvSlot& slot);
+
+/// Abort-audit scan: true when every pad byte of \p slot is zero.
+bool slot_clean(const PrecomputedSendSlot& slot);
+bool slot_clean(const PrecomputedRecvSlot& slot);
+
 /// Largest arity served by direct 1-of-n precomputed slots (the online
 /// correction shift must fit one byte). Larger transfers fall back to bit
 /// decomposition over arity-2 slots.
@@ -283,89 +292,94 @@ using RecvSlotSource = SlotSource<PrecomputedRecvSlot>;
 /// kMaxDirectArity consumes one direct arity-n slot; larger transfers fall
 /// back to bit decomposition over arity-2 slots.
 
-class BatchedOtSender : public OtSender {
+/// The half both roles share: the source and its bookkeeping.
+template <typename Slot>
+class BatchedOt {
  public:
-  BatchedOtSender(const DhGroup& group, Rng& rng,
-                  OtOffline offline = OtOffline::kDhBatch);
-  ~BatchedOtSender() override;
-
   /// Ensures at least \p count unconsumed arity-\p arity slots, topping up
-  /// in one round trip (the receiver must mirror with its own reserve()).
-  void reserve(net::Endpoint& channel, std::size_t arity, std::size_t count);
-
-  void send(net::Endpoint& channel, std::span<const Bytes> messages,
-            std::size_t k) override;
+  /// in one round trip (the peer must mirror with its own reserve()).
+  void reserve(net::Endpoint& channel, std::size_t arity, std::size_t count) {
+    check_live();
+    source_->ensure_ready(channel);
+    source_->stage_to(channel, arity, count);
+  }
 
   /// Poisons the engine after a failed round trip: wipes every precomputed
   /// pad IN PLACE and refuses all further use (ProtocolError). Correlated
   /// randomness must never be resumed once the two sides may disagree on
   /// how much of it was consumed — a retried query runs on a FRESH engine.
-  void abort() noexcept;
+  void abort() noexcept {
+    source_->abort();
+    aborted_ = true;
+    ot_abort_audit().aborts.fetch_add(1);
+    if (pool_wiped()) ot_abort_audit().wiped.fetch_add(1);
+  }
 
   bool aborted() const { return aborted_; }
 
   /// Abort-audit hook: true when every pad byte in every pool is zero (the
   /// post-abort hygiene check of the chaos tests reads this instead of
   /// poking freed memory).
-  bool pool_wiped() const;
+  bool pool_wiped() const { return source_->pads_clean(); }
 
   /// Unconsumed slots of every arity / of one arity: one snapshot under
   /// the source's lock, never a lock-free sum racing a background refill.
   /// The silent engine reports its staged/consumed LEDGER (the protocol-
   /// deterministic quantity), not the locally-timed expansion level.
-  std::size_t available_slots() const;
-  std::size_t available_slots(std::size_t arity) const;
-
-  /// The silent engine behind an OtOffline::kSilent facade (nullptr for
-  /// the DH batch): its frontier scan and expansion counters.
-  SilentPadSender* silent_engine();
+  std::size_t available_slots() const { return source_->available_total(); }
+  std::size_t available_slots(std::size_t arity) const {
+    return source_->available(arity);
+  }
 
   /// Hooks the silent engine to a background reservoir (no-op for the DH
   /// batch). detach_reservoir() blocks until the reservoir's workers have
   /// left the engine; the destructor detaches automatically.
-  void attach_reservoir(PadReservoir& reservoir);
-  void detach_reservoir() noexcept;
+  void attach_reservoir(PadReservoir& reservoir) {
+    source_->attach_reservoir(&reservoir);
+  }
+  void detach_reservoir() noexcept { source_->detach_reservoir(); }
+
+ protected:
+  BatchedOt(Rng& rng, std::unique_ptr<SlotSource<Slot>> source)
+      : rng_(rng), source_(std::move(source)) {}
+
+  void check_live() const {
+    if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
+  }
+
+  Rng& rng_;
+  std::unique_ptr<SlotSource<Slot>> source_;
 
  private:
-  Rng& rng_;
-  std::unique_ptr<SendSlotSource> source_;
   bool aborted_ = false;
 };
 
-class BatchedOtReceiver : public OtReceiver {
+class BatchedOtSender : public OtSender,
+                        public BatchedOt<PrecomputedSendSlot> {
+ public:
+  BatchedOtSender(const DhGroup& group, Rng& rng,
+                  OtOffline offline = OtOffline::kDhBatch);
+
+  void send(net::Endpoint& channel, std::span<const Bytes> messages,
+            std::size_t k) override;
+
+  /// The silent engine behind an OtOffline::kSilent facade (nullptr for
+  /// the DH batch): its frontier scan and expansion counters.
+  SilentPadSender* silent_engine();
+};
+
+class BatchedOtReceiver : public OtReceiver,
+                          public BatchedOt<PrecomputedRecvSlot> {
  public:
   BatchedOtReceiver(const DhGroup& group, Rng& rng,
                     OtOffline offline = OtOffline::kDhBatch);
-  ~BatchedOtReceiver() override;
-
-  void reserve(net::Endpoint& channel, std::size_t arity, std::size_t count);
 
   std::vector<Bytes> receive(net::Endpoint& channel,
                              std::span<const std::size_t> indices,
                              std::size_t n, std::size_t message_len) override;
 
-  /// See BatchedOtSender::abort().
-  void abort() noexcept;
-
-  bool aborted() const { return aborted_; }
-
-  /// See BatchedOtSender::pool_wiped().
-  bool pool_wiped() const;
-
-  /// See BatchedOtSender::available_slots().
-  std::size_t available_slots() const;
-  std::size_t available_slots(std::size_t arity) const;
-
   /// See BatchedOtSender::silent_engine().
   SilentPadReceiver* silent_engine();
-
-  void attach_reservoir(PadReservoir& reservoir);
-  void detach_reservoir() noexcept;
-
- private:
-  Rng& rng_;
-  std::unique_ptr<RecvSlotSource> source_;
-  bool aborted_ = false;
 };
 
 /// Online phase: consumes one precomputed slot per transfer. The receiver

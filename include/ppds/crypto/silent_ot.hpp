@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <condition_variable>
 #include <cstdint>
@@ -102,35 +103,22 @@ class RefillTarget {
   virtual bool needs_refill() = 0;
 };
 
-/// --- Sender half -------------------------------------------------------------
+/// --- Shared half -------------------------------------------------------------
 
-class SilentPadSender : public RefillTarget, public SendSlotSource {
+/// What both silent halves share: the engine lock, the per-arity
+/// staged/consumed ledger, the finished-slot pools and the reservoir hook.
+/// Instantiated for PrecomputedSendSlot and PrecomputedRecvSlot only.
+template <typename Slot>
+class SilentEngine : public RefillTarget, public SlotSource<Slot> {
  public:
-  SilentPadSender(const DhGroup& group, Rng& rng, std::size_t low_water);
-  ~SilentPadSender() override;
-
-  SilentPadSender(const SilentPadSender&) = delete;
-  SilentPadSender& operator=(const SilentPadSender&) = delete;
-
-  /// One-round-trip seed agreement (lazy; protocol thread). No-op once run.
-  void ensure_ready(net::Endpoint& channel) override;
-  bool ready() const;
-
-  /// Protocol thread: receives correction blocks until the ledger covers
-  /// \p count unconsumed arity-\p arity slots. Pure bookkeeping + recv —
-  /// the expansion happens in refill_step() (or lazily in take()).
-  void stage_to(net::Endpoint& channel, std::size_t arity,
-                std::size_t count) override;
+  SilentEngine(const SilentEngine&) = delete;
+  SilentEngine& operator=(const SilentEngine&) = delete;
 
   /// Short of \p need + kSilentLeadSlots: stage to exactly that. Keyed on
   /// the shared ledger and protocol constants, never on pool levels, so
   /// both sides stage identically whatever the reservoir's timing.
   void top_up(net::Endpoint& channel, std::size_t arity,
               std::size_t need) override;
-
-  /// Protocol thread: pops one finished slot (ledger must cover it). Waits
-  /// for the reservoir when attached, expands inline otherwise.
-  PrecomputedSendSlot take(std::size_t arity) override;
 
   /// Slots staged on the wire ledger and not yet consumed (the
   /// protocol-deterministic quantity reserve() sizes from).
@@ -140,56 +128,51 @@ class SilentPadSender : public RefillTarget, public SendSlotSource {
   /// Slots fully expanded and ready for take() without any work.
   std::size_t expanded_available(std::size_t arity) const;
 
-  // RefillTarget:
-  bool refill_step() override;
-  bool needs_refill() override;
-
   void attach_reservoir(PadReservoir* reservoir) override;
   void detach_reservoir() noexcept override;
 
-  /// Wipes frontier seeds, staged corrections and unconsumed pads; poisons
-  /// the engine; feeds the frontier_wipes / reservoir_wipes audit counters
-  /// (ot_abort_audit()) from the two scans below.
+  /// Wipes every live secret (GGM frontiers, the sender's column-choice
+  /// mask, staged corrections or pre-expanded rows, unconsumed pads) and
+  /// poisons the engine. Feeds the audit's frontier_wipes /
+  /// reservoir_wipes from the post-wipe scans.
   void abort() noexcept override;
-  bool aborted() const;
 
-  /// Post-abort hygiene scans (audit hooks).
-  /// every GGM root seed zeroed
-  bool frontier_clean() const;
-  /// every staged byte + unconsumed pad zeroed
-  bool pads_clean() const override;
+  /// Post-abort hygiene scan (audit hook): every GGM root seed zeroed.
+  virtual bool frontier_clean() const = 0;
 
   /// Times the protocol thread had to expand synchronously (cold path);
   /// zero when a warm reservoir keeps up.
   std::uint64_t sync_expansions() const;
-  /// Times take() had to sleep for the background expander.
-  std::uint64_t take_waits() const;
 
- private:
+ protected:
+  SilentEngine(const DhGroup& group, Rng& rng, std::size_t low_water)
+      : group_(group),
+        rng_(rng),
+        low_water_(std::max<std::size_t>(low_water, 1)) {}
+
   struct Ledger {
     std::size_t arity = 2;
     std::size_t staged = 0;
     std::size_t consumed = 0;
   };
-  struct PendingBlock {
-    std::size_t arity = 2;
-    std::uint64_t first_row = 0;
-    std::size_t count = 0;
-    PPDS_SECRET Bytes u;  ///< count * kSilentRowBytes correction bytes
-  };
   struct Pool {
     std::size_t arity = 2;
-    LowWaterQueue<PrecomputedSendSlot> slots;
+    LowWaterQueue<Slot> slots;
   };
 
   Ledger& ledger_for(std::size_t arity);
   Pool& pool_for(std::size_t arity);
-  /// Expands \p block into finished slots (pure PRG+hash; call UNLOCKED —
-  /// reads only the immutable-after-setup trees).
-  std::vector<PrecomputedSendSlot> expand_block(const PendingBlock& block) const;
-  /// Pops + expands the oldest pending block; \p lk held on entry and exit.
-  void expand_front_locked(std::unique_lock<std::mutex>& lk);
   void kick_reservoir();
+  /// The role's share of abort() and of destruction; mu_ held, no
+  /// expansion in flight.
+  virtual void wipe_secrets_locked() = 0;
+  /// Destructor body of both roles: detach, then wipe.
+  void shut_down() noexcept;
+  /// Zeroes every unconsumed slot and leaves nothing staged to consume;
+  /// mu_ held.
+  void wipe_pools_locked();
+  /// True when every pooled pad is zero; mu_ held.
+  bool pools_clean_locked() const;
 
   const DhGroup& group_;
   Rng& rng_;
@@ -202,32 +185,76 @@ class SilentPadSender : public RefillTarget, public SendSlotSource {
   bool aborted_ = false;
   PadReservoir* reservoir_ = nullptr;
 
+  std::uint64_t next_row_ = 0;
+  std::vector<Ledger> ledgers_;
+  std::vector<Pool> pools_;
+
+  std::uint64_t sync_expansions_ = 0;
+};
+
+/// --- Sender half -------------------------------------------------------------
+
+class SilentPadSender : public SilentEngine<PrecomputedSendSlot> {
+ public:
+  SilentPadSender(const DhGroup& group, Rng& rng, std::size_t low_water);
+  ~SilentPadSender() override;
+
+  /// One-round-trip seed agreement (lazy; protocol thread). No-op once run.
+  void ensure_ready(net::Endpoint& channel) override;
+
+  /// Protocol thread: receives correction blocks until the ledger covers
+  /// \p count unconsumed arity-\p arity slots. Pure bookkeeping + recv —
+  /// the expansion happens in refill_step() (or lazily in take()).
+  void stage_to(net::Endpoint& channel, std::size_t arity,
+                std::size_t count) override;
+
+  /// Protocol thread: pops one finished slot (ledger must cover it). Waits
+  /// for the reservoir when attached, expands inline otherwise.
+  PrecomputedSendSlot take(std::size_t arity) override;
+
+  // RefillTarget:
+  bool refill_step() override;
+  bool needs_refill() override;
+
+  bool frontier_clean() const override;
+  /// Every staged correction byte and unconsumed pad zeroed.
+  bool pads_clean() const override;
+
+  /// Times take() had to sleep for the background expander.
+  std::uint64_t take_waits() const;
+
+ private:
+  struct PendingBlock {
+    std::size_t arity = 2;
+    std::uint64_t first_row = 0;
+    std::size_t count = 0;
+    PPDS_SECRET Bytes u;  ///< count * kSilentRowBytes correction bytes
+  };
+
+  /// Expands \p block into finished slots (pure PRG+hash; call UNLOCKED —
+  /// reads only the immutable-after-setup trees).
+  std::vector<PrecomputedSendSlot> expand_block(const PendingBlock& block) const;
+  /// Pops + expands the oldest pending block; \p lk held on entry and exit.
+  void expand_front_locked(std::unique_lock<std::mutex>& lk);
+  void wipe_secrets_locked() override;
+
   /// Per-column keystream trees t^{Delta_j}_j and the secret column choice
   /// mask Delta (the sender's correlation secret).
   std::vector<GgmTree> trees_;
   PPDS_SECRET SilentRow delta_{};
 
-  std::uint64_t next_row_ = 0;
-  std::vector<Ledger> ledgers_;
   std::deque<PendingBlock> pending_;
-  std::vector<Pool> pools_;
-
-  std::uint64_t sync_expansions_ = 0;
   std::uint64_t take_waits_ = 0;
 };
 
 /// --- Receiver half -----------------------------------------------------------
 
-class SilentPadReceiver : public RefillTarget, public RecvSlotSource {
+class SilentPadReceiver : public SilentEngine<PrecomputedRecvSlot> {
  public:
   SilentPadReceiver(const DhGroup& group, Rng& rng, std::size_t low_water);
   ~SilentPadReceiver() override;
 
-  SilentPadReceiver(const SilentPadReceiver&) = delete;
-  SilentPadReceiver& operator=(const SilentPadReceiver&) = delete;
-
   void ensure_ready(net::Endpoint& channel) override;
-  bool ready() const;
 
   /// Protocol thread: draws choices, builds + SENDS correction blocks until
   /// the ledger covers \p count unconsumed arity-\p arity slots, and pushes
@@ -236,71 +263,35 @@ class SilentPadReceiver : public RefillTarget, public RecvSlotSource {
   void stage_to(net::Endpoint& channel, std::size_t arity,
                 std::size_t count) override;
 
-  /// See SilentPadSender::top_up().
-  void top_up(net::Endpoint& channel, std::size_t arity,
-              std::size_t need) override;
-
   /// Protocol thread: pops one finished slot. Receiver slots are built at
   /// staging time, so this never blocks.
   PrecomputedRecvSlot take(std::size_t arity) override;
-
-  std::size_t available(std::size_t arity) const override;
-  std::size_t available_total() const override;
-  std::size_t expanded_available(std::size_t arity) const;
 
   // RefillTarget (pre-expands row material ahead of the staging cursor):
   bool refill_step() override;
   bool needs_refill() override;
 
-  void attach_reservoir(PadReservoir* reservoir) override;
-  void detach_reservoir() noexcept override;
-
-  /// See SilentPadSender::abort().
-  void abort() noexcept override;
-  bool aborted() const;
-  bool frontier_clean() const;
+  bool frontier_clean() const override;
+  /// Every pre-expanded row and unconsumed pad zeroed.
   bool pads_clean() const override;
 
-  std::uint64_t sync_expansions() const;
-
  private:
-  struct Ledger {
-    std::size_t arity = 2;
-    std::size_t staged = 0;
-    std::size_t consumed = 0;
-  };
   /// Arity-independent per-row keystream material (row-major, after the
   /// column->row bit transpose): t0_r and t0_r XOR t1_r.
   struct RowMaterial {
     PPDS_SECRET SilentRow t0{};
     PPDS_SECRET SilentRow ubase{};
   };
-  struct Pool {
-    std::size_t arity = 2;
-    LowWaterQueue<PrecomputedRecvSlot> slots;
-  };
 
-  Ledger& ledger_for(std::size_t arity);
-  Pool& pool_for(std::size_t arity);
   /// Expands GGM leaf chunk \p chunk (kSilentRowsPerLeaf rows) of both
   /// column trees into row material (pure; call UNLOCKED).
   std::vector<RowMaterial> expand_chunk(std::uint64_t chunk) const;
   /// Appends one chunk of row material; \p lk held on entry and exit.
   void expand_next_chunk_locked(std::unique_lock<std::mutex>& lk);
   std::uint64_t material_through() const;
-  void kick_reservoir();
+  void wipe_secrets_locked() override;
 
-  const DhGroup& group_;
-  Rng& rng_;
-  std::size_t low_water_;
   std::size_t ahead_rows_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool busy_ = false;
-  bool ready_ = false;
-  bool aborted_ = false;
-  PadReservoir* reservoir_ = nullptr;
 
   /// Both column keystream trees per column (the receiver ran the base OTs
   /// as sender, so it knows k0_j AND k1_j).
@@ -311,13 +302,8 @@ class SilentPadReceiver : public RefillTarget, public RecvSlotSource {
   /// the shared Rng.
   std::optional<Prg> choice_prg_;
 
-  std::uint64_t next_row_ = 0;
   std::uint64_t material_from_ = 0;
   std::deque<RowMaterial> material_;
-  std::vector<Ledger> ledgers_;
-  std::vector<Pool> pools_;
-
-  std::uint64_t sync_expansions_ = 0;
 };
 
 }  // namespace ppds::crypto

@@ -503,10 +503,6 @@ OtAbortAudit& ot_abort_audit() {
   return audit;
 }
 
-/// --- DH-batch slot source --------------------------------------------------
-
-namespace {
-
 void wipe_slot(PrecomputedSendSlot& slot) {
   for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
 }
@@ -535,6 +531,10 @@ bool slot_clean(const PrecomputedRecvSlot& slot) {
   }
   return true;
 }
+
+/// --- DH-batch slot source --------------------------------------------------
+
+namespace {
 
 /// Per-arity pools filled by amortized DH batches (precompute_ot_*). The
 /// mutex lets available() observers on other threads see a coherent
@@ -670,52 +670,16 @@ std::unique_ptr<SlotSource<Slot>> make_source(const DhGroup& group, Rng& rng,
 
 BatchedOtSender::BatchedOtSender(const DhGroup& group, Rng& rng,
                                  OtOffline offline)
-    : rng_(rng),
-      source_(make_source<PrecomputedSendSlot, SilentPadSender>(group, rng,
-                                                                offline)) {}
-
-// The source's destructor detaches any reservoir and wipes every pad.
-BatchedOtSender::~BatchedOtSender() = default;
+    : BatchedOt(rng, make_source<PrecomputedSendSlot, SilentPadSender>(
+                         group, rng, offline)) {}
 
 SilentPadSender* BatchedOtSender::silent_engine() {
   return dynamic_cast<SilentPadSender*>(source_.get());
 }
 
-void BatchedOtSender::attach_reservoir(PadReservoir& reservoir) {
-  source_->attach_reservoir(&reservoir);
-}
-
-void BatchedOtSender::detach_reservoir() noexcept {
-  source_->detach_reservoir();
-}
-
-void BatchedOtSender::abort() noexcept {
-  source_->abort();
-  aborted_ = true;
-  ot_abort_audit().aborts.fetch_add(1);
-  if (pool_wiped()) ot_abort_audit().wiped.fetch_add(1);
-}
-
-bool BatchedOtSender::pool_wiped() const { return source_->pads_clean(); }
-
-std::size_t BatchedOtSender::available_slots() const {
-  return source_->available_total();
-}
-
-std::size_t BatchedOtSender::available_slots(std::size_t arity) const {
-  return source_->available(arity);
-}
-
-void BatchedOtSender::reserve(net::Endpoint& channel, std::size_t arity,
-                              std::size_t count) {
-  if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
-  source_->ensure_ready(channel);
-  source_->stage_to(channel, arity, count);
-}
-
 void BatchedOtSender::send(net::Endpoint& channel,
                            std::span<const Bytes> messages, std::size_t k) {
-  if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
+  check_live();
   check_equal_lengths(messages);
   detail::require(k >= 1 && k <= messages.size(), "ot: bad k");
   const std::size_t n = messages.size();
@@ -750,52 +714,17 @@ void BatchedOtSender::send(net::Endpoint& channel,
 
 BatchedOtReceiver::BatchedOtReceiver(const DhGroup& group, Rng& rng,
                                      OtOffline offline)
-    : rng_(rng),
-      source_(make_source<PrecomputedRecvSlot, SilentPadReceiver>(group, rng,
-                                                                  offline)) {}
-
-BatchedOtReceiver::~BatchedOtReceiver() = default;
+    : BatchedOt(rng, make_source<PrecomputedRecvSlot, SilentPadReceiver>(
+                         group, rng, offline)) {}
 
 SilentPadReceiver* BatchedOtReceiver::silent_engine() {
   return dynamic_cast<SilentPadReceiver*>(source_.get());
 }
 
-void BatchedOtReceiver::attach_reservoir(PadReservoir& reservoir) {
-  source_->attach_reservoir(&reservoir);
-}
-
-void BatchedOtReceiver::detach_reservoir() noexcept {
-  source_->detach_reservoir();
-}
-
-void BatchedOtReceiver::abort() noexcept {
-  source_->abort();
-  aborted_ = true;
-  ot_abort_audit().aborts.fetch_add(1);
-  if (pool_wiped()) ot_abort_audit().wiped.fetch_add(1);
-}
-
-bool BatchedOtReceiver::pool_wiped() const { return source_->pads_clean(); }
-
-std::size_t BatchedOtReceiver::available_slots() const {
-  return source_->available_total();
-}
-
-std::size_t BatchedOtReceiver::available_slots(std::size_t arity) const {
-  return source_->available(arity);
-}
-
-void BatchedOtReceiver::reserve(net::Endpoint& channel, std::size_t arity,
-                                std::size_t count) {
-  if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
-  source_->ensure_ready(channel);
-  source_->stage_to(channel, arity, count);
-}
-
 std::vector<Bytes> BatchedOtReceiver::receive(
     net::Endpoint& channel, std::span<const std::size_t> indices,
     std::size_t n, std::size_t message_len) {
-  if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
+  check_live();
   detail::require(!indices.empty() && indices.size() <= n, "ot: bad indices");
   for (std::size_t index : indices) {
     detail::require(index < n, "ot_1ofn: index out of range");

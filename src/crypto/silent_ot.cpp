@@ -44,29 +44,6 @@ std::uint32_t bounded_choice(std::uint64_t word, std::size_t arity) {
   return static_cast<std::uint32_t>((static_cast<u128>(word) * arity) >> 64);
 }
 
-void wipe_send_slots(std::vector<PrecomputedSendSlot>& slots) {
-  for (PrecomputedSendSlot& slot : slots) {
-    for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
-  }
-}
-
-/// Shared top-up rule of both halves: stage to need + kSilentLeadSlots
-/// whenever the ledger is short of it.
-template <typename Engine>
-void top_up_with_lead(Engine& engine, net::Endpoint& channel,
-                      std::size_t arity, std::size_t need) {
-  if (engine.available(arity) < need + kSilentLeadSlots) {
-    engine.stage_to(channel, arity, need + kSilentLeadSlots);
-  }
-}
-
-/// Post-abort audit of both halves (see OtAbortAudit).
-template <typename Engine>
-void audit_abort(const Engine& engine) {
-  if (engine.frontier_clean()) ot_abort_audit().frontier_wipes.fetch_add(1);
-  if (engine.pads_clean()) ot_abort_audit().reservoir_wipes.fetch_add(1);
-}
-
 }  // namespace
 
 SilentRow silent_codeword_ct(std::uint32_t v) {
@@ -95,25 +72,150 @@ const std::array<SilentRow, kMaxDirectArity>& silent_codewords() {
   return table;
 }
 
+/// --- Shared half -------------------------------------------------------------
+
+template <typename Slot>
+void SilentEngine<Slot>::abort() noexcept {
+  std::unique_lock lk(mu_);
+  aborted_ = true;
+  cv_.notify_all();
+  // Let an in-flight background expansion finish on its local copy (it
+  // discards and wipes its product on seeing aborted_), then zero every
+  // live secret.
+  cv_.wait(lk, [&] { return !busy_; });
+  wipe_secrets_locked();
+  lk.unlock();
+  if (frontier_clean()) ot_abort_audit().frontier_wipes.fetch_add(1);
+  if (this->pads_clean()) ot_abort_audit().reservoir_wipes.fetch_add(1);
+}
+
+template <typename Slot>
+void SilentEngine<Slot>::shut_down() noexcept {
+  detach_reservoir();
+  std::unique_lock lk(mu_);
+  cv_.wait(lk, [&] { return !busy_; });
+  wipe_secrets_locked();
+}
+
+template <typename Slot>
+void SilentEngine<Slot>::top_up(net::Endpoint& channel, std::size_t arity,
+                                std::size_t need) {
+  if (available(arity) < need + kSilentLeadSlots) {
+    this->stage_to(channel, arity, need + kSilentLeadSlots);
+  }
+}
+
+template <typename Slot>
+std::size_t SilentEngine<Slot>::available(std::size_t arity) const {
+  std::lock_guard lk(mu_);
+  for (const Ledger& led : ledgers_) {
+    if (led.arity == arity) return led.staged - led.consumed;
+  }
+  return 0;
+}
+
+template <typename Slot>
+std::size_t SilentEngine<Slot>::available_total() const {
+  std::lock_guard lk(mu_);
+  std::size_t total = 0;
+  for (const Ledger& led : ledgers_) total += led.staged - led.consumed;
+  return total;
+}
+
+template <typename Slot>
+std::size_t SilentEngine<Slot>::expanded_available(std::size_t arity) const {
+  std::lock_guard lk(mu_);
+  for (const Pool& pool : pools_) {
+    if (pool.arity == arity) return pool.slots.size();
+  }
+  return 0;
+}
+
+template <typename Slot>
+void SilentEngine<Slot>::attach_reservoir(PadReservoir* reservoir) {
+  {
+    std::lock_guard lk(mu_);
+    reservoir_ = reservoir;
+  }
+  if (reservoir != nullptr) reservoir->attach(*this);
+}
+
+template <typename Slot>
+void SilentEngine<Slot>::detach_reservoir() noexcept {
+  PadReservoir* reservoir = nullptr;
+  {
+    std::lock_guard lk(mu_);
+    reservoir = reservoir_;
+    reservoir_ = nullptr;
+    cv_.notify_all();
+  }
+  if (reservoir != nullptr) reservoir->detach(*this);
+}
+
+template <typename Slot>
+std::uint64_t SilentEngine<Slot>::sync_expansions() const {
+  std::lock_guard lk(mu_);
+  return sync_expansions_;
+}
+
+template <typename Slot>
+typename SilentEngine<Slot>::Ledger& SilentEngine<Slot>::ledger_for(
+    std::size_t arity) {
+  for (Ledger& led : ledgers_) {
+    if (led.arity == arity) return led;
+  }
+  ledgers_.push_back(Ledger{arity, 0, 0});
+  return ledgers_.back();
+}
+
+template <typename Slot>
+typename SilentEngine<Slot>::Pool& SilentEngine<Slot>::pool_for(
+    std::size_t arity) {
+  for (Pool& pool : pools_) {
+    if (pool.arity == arity) return pool;
+  }
+  pools_.push_back(Pool{arity, LowWaterQueue<Slot>(low_water_)});
+  return pools_.back();
+}
+
+template <typename Slot>
+void SilentEngine<Slot>::kick_reservoir() {
+  PadReservoir* reservoir = nullptr;
+  {
+    std::lock_guard lk(mu_);
+    reservoir = reservoir_;
+  }
+  if (reservoir != nullptr) reservoir->kick();
+}
+
+template <typename Slot>
+void SilentEngine<Slot>::wipe_pools_locked() {
+  for (Pool& pool : pools_) {
+    for (Slot& slot : pool.slots.items()) wipe_slot(slot);
+  }
+  for (Ledger& led : ledgers_) led.consumed = led.staged;
+}
+
+template <typename Slot>
+bool SilentEngine<Slot>::pools_clean_locked() const {
+  for (const Pool& pool : pools_) {
+    for (const Slot& slot : pool.slots.items()) {
+      if (!slot_clean(slot)) return false;
+    }
+  }
+  return true;
+}
+
+template class SilentEngine<PrecomputedSendSlot>;
+template class SilentEngine<PrecomputedRecvSlot>;
+
 /// --- Sender half -------------------------------------------------------------
 
 SilentPadSender::SilentPadSender(const DhGroup& group, Rng& rng,
                                  std::size_t low_water)
-    : group_(group), rng_(rng), low_water_(std::max<std::size_t>(low_water, 1)) {}
+    : SilentEngine(group, rng, low_water) {}
 
-SilentPadSender::~SilentPadSender() {
-  detach_reservoir();
-  std::unique_lock lk(mu_);
-  cv_.wait(lk, [&] { return !busy_; });
-  for (GgmTree& tree : trees_) tree.wipe();
-  secure_wipe(std::span(delta_));
-  for (PendingBlock& block : pending_) secure_wipe(std::span(block.u));
-  for (Pool& pool : pools_) {
-    for (PrecomputedSendSlot& slot : pool.slots.items()) {
-      for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
-    }
-  }
-}
+SilentPadSender::~SilentPadSender() { shut_down(); }
 
 void SilentPadSender::ensure_ready(net::Endpoint& channel) {
   {
@@ -148,27 +250,6 @@ void SilentPadSender::ensure_ready(net::Endpoint& channel) {
   delta_ = delta;
   secure_wipe(std::span(delta));
   ready_ = true;
-}
-
-bool SilentPadSender::ready() const {
-  std::lock_guard lk(mu_);
-  return ready_;
-}
-
-SilentPadSender::Ledger& SilentPadSender::ledger_for(std::size_t arity) {
-  for (Ledger& led : ledgers_) {
-    if (led.arity == arity) return led;
-  }
-  ledgers_.push_back(Ledger{arity, 0, 0});
-  return ledgers_.back();
-}
-
-SilentPadSender::Pool& SilentPadSender::pool_for(std::size_t arity) {
-  for (Pool& pool : pools_) {
-    if (pool.arity == arity) return pool;
-  }
-  pools_.push_back(Pool{arity, LowWaterQueue<PrecomputedSendSlot>(low_water_)});
-  return pools_.back();
 }
 
 void SilentPadSender::stage_to(net::Endpoint& channel, std::size_t arity,
@@ -278,17 +359,12 @@ void SilentPadSender::expand_front_locked(std::unique_lock<std::mutex>& lk) {
   lk.lock();
   busy_ = false;
   if (aborted_) {
-    wipe_send_slots(slots);
+    for (PrecomputedSendSlot& slot : slots) wipe_slot(slot);
   } else {
     Pool& pool = pool_for(block.arity);
     for (PrecomputedSendSlot& slot : slots) pool.slots.push(std::move(slot));
   }
   cv_.notify_all();
-}
-
-void SilentPadSender::top_up(net::Endpoint& channel, std::size_t arity,
-                      std::size_t need) {
-  top_up_with_lead(*this, channel, arity, need);
 }
 
 PrecomputedSendSlot SilentPadSender::take(std::size_t arity) {
@@ -321,29 +397,6 @@ PrecomputedSendSlot SilentPadSender::take(std::size_t arity) {
   return slot;
 }
 
-std::size_t SilentPadSender::available(std::size_t arity) const {
-  std::lock_guard lk(mu_);
-  for (const Ledger& led : ledgers_) {
-    if (led.arity == arity) return led.staged - led.consumed;
-  }
-  return 0;
-}
-
-std::size_t SilentPadSender::available_total() const {
-  std::lock_guard lk(mu_);
-  std::size_t total = 0;
-  for (const Ledger& led : ledgers_) total += led.staged - led.consumed;
-  return total;
-}
-
-std::size_t SilentPadSender::expanded_available(std::size_t arity) const {
-  std::lock_guard lk(mu_);
-  for (const Pool& pool : pools_) {
-    if (pool.arity == arity) return pool.slots.size();
-  }
-  return 0;
-}
-
 bool SilentPadSender::refill_step() {
   std::unique_lock lk(mu_);
   if (aborted_ || !ready_ || pending_.empty()) return false;
@@ -356,51 +409,12 @@ bool SilentPadSender::needs_refill() {
   return ready_ && !aborted_ && !pending_.empty();
 }
 
-void SilentPadSender::attach_reservoir(PadReservoir* reservoir) {
-  {
-    std::lock_guard lk(mu_);
-    reservoir_ = reservoir;
-  }
-  if (reservoir != nullptr) reservoir->attach(*this);
-}
-
-void SilentPadSender::detach_reservoir() noexcept {
-  PadReservoir* reservoir = nullptr;
-  {
-    std::lock_guard lk(mu_);
-    reservoir = reservoir_;
-    reservoir_ = nullptr;
-    cv_.notify_all();
-  }
-  if (reservoir != nullptr) reservoir->detach(*this);
-}
-
-void SilentPadSender::abort() noexcept {
-  std::unique_lock lk(mu_);
-  aborted_ = true;
-  cv_.notify_all();
-  // Let an in-flight background expansion finish on its local copy (it
-  // discards and wipes its product on seeing aborted_), then zero every
-  // live secret: frontier seeds, the column-choice mask, staged correction
-  // bytes and unconsumed pads.
-  cv_.wait(lk, [&] { return !busy_; });
+void SilentPadSender::wipe_secrets_locked() {
   for (GgmTree& tree : trees_) tree.wipe();
   secure_wipe(std::span(delta_));
   for (PendingBlock& block : pending_) secure_wipe(std::span(block.u));
   pending_.clear();
-  for (Pool& pool : pools_) {
-    for (PrecomputedSendSlot& slot : pool.slots.items()) {
-      for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
-    }
-  }
-  for (Ledger& led : ledgers_) led.consumed = led.staged;
-  lk.unlock();
-  audit_abort(*this);
-}
-
-bool SilentPadSender::aborted() const {
-  std::lock_guard lk(mu_);
-  return aborted_;
+  wipe_pools_locked();
 }
 
 bool SilentPadSender::frontier_clean() const {
@@ -418,24 +432,7 @@ bool SilentPadSender::frontier_clean() const {
 
 bool SilentPadSender::pads_clean() const {
   std::lock_guard lk(mu_);
-  if (!pending_.empty()) return false;
-  for (const Pool& pool : pools_) {
-    for (const PrecomputedSendSlot& slot : pool.slots.items()) {
-      for (const Bytes& pad : slot.pads) {
-        for (std::uint8_t b : pad) {
-          // Post-abort audit scan over zeroed pads (dead key material).
-          // taint: allow(secret-branch)
-          if (b != 0) return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-std::uint64_t SilentPadSender::sync_expansions() const {
-  std::lock_guard lk(mu_);
-  return sync_expansions_;
+  return pending_.empty() && pools_clean_locked();
 }
 
 std::uint64_t SilentPadSender::take_waits() const {
@@ -443,42 +440,15 @@ std::uint64_t SilentPadSender::take_waits() const {
   return take_waits_;
 }
 
-void SilentPadSender::kick_reservoir() {
-  PadReservoir* reservoir = nullptr;
-  {
-    std::lock_guard lk(mu_);
-    reservoir = reservoir_;
-  }
-  if (reservoir != nullptr) reservoir->kick();
-}
-
 /// --- Receiver half -----------------------------------------------------------
 
 SilentPadReceiver::SilentPadReceiver(const DhGroup& group, Rng& rng,
                                      std::size_t low_water)
-    : group_(group),
-      rng_(rng),
-      low_water_(std::max<std::size_t>(low_water, 1)),
+    : SilentEngine(group, rng, low_water),
       ahead_rows_(std::max(low_water_, kSilentLeadSlots) +
                   2 * kSilentStageQuantum) {}
 
-SilentPadReceiver::~SilentPadReceiver() {
-  detach_reservoir();
-  std::unique_lock lk(mu_);
-  cv_.wait(lk, [&] { return !busy_; });
-  for (GgmTree& tree : trees0_) tree.wipe();
-  for (GgmTree& tree : trees1_) tree.wipe();
-  for (RowMaterial& mat : material_) {
-    secure_wipe(std::span(mat.t0));
-    secure_wipe(std::span(mat.ubase));
-  }
-  for (Pool& pool : pools_) {
-    for (PrecomputedRecvSlot& slot : pool.slots.items()) {
-      secure_wipe(std::span(slot.pad));
-      slot.choice = 0;
-    }
-  }
-}
+SilentPadReceiver::~SilentPadReceiver() { shut_down(); }
 
 void SilentPadReceiver::ensure_ready(net::Endpoint& channel) {
   {
@@ -521,27 +491,6 @@ void SilentPadReceiver::ensure_ready(net::Endpoint& channel) {
   ready_ = true;
 }
 
-bool SilentPadReceiver::ready() const {
-  std::lock_guard lk(mu_);
-  return ready_;
-}
-
-SilentPadReceiver::Ledger& SilentPadReceiver::ledger_for(std::size_t arity) {
-  for (Ledger& led : ledgers_) {
-    if (led.arity == arity) return led;
-  }
-  ledgers_.push_back(Ledger{arity, 0, 0});
-  return ledgers_.back();
-}
-
-SilentPadReceiver::Pool& SilentPadReceiver::pool_for(std::size_t arity) {
-  for (Pool& pool : pools_) {
-    if (pool.arity == arity) return pool;
-  }
-  pools_.push_back(Pool{arity, LowWaterQueue<PrecomputedRecvSlot>(low_water_)});
-  return pools_.back();
-}
-
 std::uint64_t SilentPadReceiver::material_through() const {
   return material_from_ + material_.size();
 }
@@ -580,17 +529,10 @@ void SilentPadReceiver::expand_next_chunk_locked(
   std::vector<RowMaterial> rows = expand_chunk(chunk);
   lk.lock();
   busy_ = false;
-  if (aborted_) {
-    for (RowMaterial& mat : rows) {
-      secure_wipe(std::span(mat.t0));
-      secure_wipe(std::span(mat.ubase));
-    }
-  } else {
-    for (RowMaterial& mat : rows) material_.push_back(mat);
-    for (RowMaterial& mat : rows) {
-      secure_wipe(std::span(mat.t0));
-      secure_wipe(std::span(mat.ubase));
-    }
+  if (!aborted_) material_.insert(material_.end(), rows.begin(), rows.end());
+  for (RowMaterial& mat : rows) {
+    secure_wipe(std::span(mat.t0));
+    secure_wipe(std::span(mat.ubase));
   }
   cv_.notify_all();
 }
@@ -662,11 +604,6 @@ void SilentPadReceiver::stage_to(net::Endpoint& channel, std::size_t arity,
   if (staged_any) kick_reservoir();
 }
 
-void SilentPadReceiver::top_up(net::Endpoint& channel, std::size_t arity,
-                      std::size_t need) {
-  top_up_with_lead(*this, channel, arity, need);
-}
-
 PrecomputedRecvSlot SilentPadReceiver::take(std::size_t arity) {
   std::unique_lock lk(mu_);
   if (aborted_) throw ProtocolError("silent ot: aborted engine");
@@ -684,29 +621,6 @@ PrecomputedRecvSlot SilentPadReceiver::take(std::size_t arity) {
   return slot;
 }
 
-std::size_t SilentPadReceiver::available(std::size_t arity) const {
-  std::lock_guard lk(mu_);
-  for (const Ledger& led : ledgers_) {
-    if (led.arity == arity) return led.staged - led.consumed;
-  }
-  return 0;
-}
-
-std::size_t SilentPadReceiver::available_total() const {
-  std::lock_guard lk(mu_);
-  std::size_t total = 0;
-  for (const Ledger& led : ledgers_) total += led.staged - led.consumed;
-  return total;
-}
-
-std::size_t SilentPadReceiver::expanded_available(std::size_t arity) const {
-  std::lock_guard lk(mu_);
-  for (const Pool& pool : pools_) {
-    if (pool.arity == arity) return pool.slots.size();
-  }
-  return 0;
-}
-
 bool SilentPadReceiver::refill_step() {
   std::unique_lock lk(mu_);
   if (aborted_ || !ready_) return false;
@@ -720,30 +634,7 @@ bool SilentPadReceiver::needs_refill() {
   return ready_ && !aborted_ && material_through() < next_row_ + ahead_rows_;
 }
 
-void SilentPadReceiver::attach_reservoir(PadReservoir* reservoir) {
-  {
-    std::lock_guard lk(mu_);
-    reservoir_ = reservoir;
-  }
-  if (reservoir != nullptr) reservoir->attach(*this);
-}
-
-void SilentPadReceiver::detach_reservoir() noexcept {
-  PadReservoir* reservoir = nullptr;
-  {
-    std::lock_guard lk(mu_);
-    reservoir = reservoir_;
-    reservoir_ = nullptr;
-    cv_.notify_all();
-  }
-  if (reservoir != nullptr) reservoir->detach(*this);
-}
-
-void SilentPadReceiver::abort() noexcept {
-  std::unique_lock lk(mu_);
-  aborted_ = true;
-  cv_.notify_all();
-  cv_.wait(lk, [&] { return !busy_; });
+void SilentPadReceiver::wipe_secrets_locked() {
   for (GgmTree& tree : trees0_) tree.wipe();
   for (GgmTree& tree : trees1_) tree.wipe();
   for (RowMaterial& mat : material_) {
@@ -751,20 +642,7 @@ void SilentPadReceiver::abort() noexcept {
     secure_wipe(std::span(mat.ubase));
   }
   material_.clear();
-  for (Pool& pool : pools_) {
-    for (PrecomputedRecvSlot& slot : pool.slots.items()) {
-      secure_wipe(std::span(slot.pad));
-      slot.choice = 0;
-    }
-  }
-  for (Ledger& led : ledgers_) led.consumed = led.staged;
-  lk.unlock();
-  audit_abort(*this);
-}
-
-bool SilentPadReceiver::aborted() const {
-  std::lock_guard lk(mu_);
-  return aborted_;
+  wipe_pools_locked();
 }
 
 bool SilentPadReceiver::frontier_clean() const {
@@ -780,31 +658,7 @@ bool SilentPadReceiver::frontier_clean() const {
 
 bool SilentPadReceiver::pads_clean() const {
   std::lock_guard lk(mu_);
-  if (!material_.empty()) return false;
-  for (const Pool& pool : pools_) {
-    for (const PrecomputedRecvSlot& slot : pool.slots.items()) {
-      for (std::uint8_t b : slot.pad) {
-        // Post-abort audit scan over zeroed pads (dead key material).
-        // taint: allow(secret-branch)
-        if (b != 0) return false;
-      }
-    }
-  }
-  return true;
-}
-
-std::uint64_t SilentPadReceiver::sync_expansions() const {
-  std::lock_guard lk(mu_);
-  return sync_expansions_;
-}
-
-void SilentPadReceiver::kick_reservoir() {
-  PadReservoir* reservoir = nullptr;
-  {
-    std::lock_guard lk(mu_);
-    reservoir = reservoir_;
-  }
-  if (reservoir != nullptr) reservoir->kick();
+  return material_.empty() && pools_clean_locked();
 }
 
 }  // namespace ppds::crypto
