@@ -91,7 +91,8 @@ TEST(ScenarioSpec, SilentAndReservoirTokensRoundTrip) {
   EXPECT_TRUE(s.config.reservoir);
   EXPECT_EQ(s.config.ot_engine, core::OtEngine::kPrecomputed);
 
-  // The refill batch is a protocol constant now, not a token.
+  // No refill token: the DH top-up size is the protocol constant
+  // crypto::kDhTopUpSlots.
   EXPECT_THROW(ScenarioSpec::parse("diabetes:silent:refill=32"),
                InvalidArgument);
   EXPECT_THROW(ScenarioSpec::parse("diabetes:resevoir"), InvalidArgument);
