@@ -267,7 +267,7 @@ class SlotSource {
   virtual std::size_t available(std::size_t arity) const = 0;
   virtual std::size_t available_total() const = 0;
 
-  /// Wipes every unconsumed pad in place and poisons the source.
+  /// Wipes every unconsumed pad in place; nothing staged is left to take.
   virtual void abort() noexcept = 0;
 
   /// Abort-audit scan: true when no live pad byte is left.
@@ -278,9 +278,6 @@ class SlotSource {
   virtual void attach_reservoir(PadReservoir* /*reservoir*/) {}
   virtual void detach_reservoir() noexcept {}
 };
-
-using SendSlotSource = SlotSource<PrecomputedSendSlot>;
-using RecvSlotSource = SlotSource<PrecomputedRecvSlot>;
 
 /// --- Batched session facade --------------------------------------------------
 ///
