@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <iterator>
 #include <span>
 #include <string>
 #include <thread>
@@ -120,9 +121,9 @@ TEST(Overload, StatsSnapshotWireRoundTrip) {
   // view and what kHealth ships. Distinct values per field catch any
   // encode/decode field swap.
   DaemonStats stats;
-  stats.connections_accepted = 101;
+  stats.connections_accepted = 100;
   stats.connections_closed = 60;
-  stats.connections_reaped = 20;
+  stats.connections_reaped = 19;
   stats.connections_failed = 1;
   stats.connections_rejected = 20;
   stats.rejected_over_cap = 11;
@@ -140,13 +141,13 @@ TEST(Overload, StatsSnapshotWireRoundTrip) {
   stats.ready_peak = 8;
 
   const DaemonStatsSnapshot snap = stats.snapshot();
-  EXPECT_TRUE(snap.books_balance());  // 101 == 60 + 20 + 1 + 20
+  EXPECT_TRUE(snap.books_balance());  // 100 == 60 + 19 + 1 + 20
 
   const Bytes wire = encode_stats(snap);
   ASSERT_EQ(wire.size(), kStatsSnapshotFields * 8);
   const DaemonStatsSnapshot back = decode_stats(wire);
   EXPECT_EQ(encode_stats(back), wire);
-  EXPECT_EQ(back.connections_accepted, 101u);
+  EXPECT_EQ(back.connections_accepted, 100u);
   EXPECT_EQ(back.rejected_rate_limited, 6u);
   EXPECT_EQ(back.sessions_shed, 9u);
   EXPECT_EQ(back.ready_peak, 8u);
@@ -158,6 +159,46 @@ TEST(Overload, StatsSnapshotWireRoundTrip) {
   Bytes truncated = wire;
   truncated.pop_back();
   EXPECT_THROW((void)decode_stats(truncated), SerializationError);
+}
+
+TEST(Overload, StatsWireLayoutIsPinned) {
+  // The kHealth reply is 18 little-endian u64s in this exact order. A round
+  // trip cannot see a reorder that encode and decode share, so pin every
+  // field to its byte offset: field i carries i + 1 and must land at 8 * i.
+  DaemonStats stats;
+  std::atomic<std::uint64_t>* const fields[] = {
+      &stats.connections_accepted, &stats.connections_closed,
+      &stats.connections_reaped,   &stats.connections_failed,
+      &stats.connections_rejected, &stats.rejected_over_cap,
+      &stats.rejected_rate_limited, &stats.rejected_draining,
+      &stats.sessions_ok,          &stats.sessions_failed,
+      &stats.sessions_shed,        &stats.health_probes,
+      &stats.active_sessions,      &stats.live_connections,
+      &stats.parked_depth,         &stats.ready_depth,
+      &stats.parked_peak,          &stats.ready_peak};
+  static_assert(std::size(fields) == kStatsSnapshotFields);
+  for (std::size_t i = 0; i < std::size(fields); ++i) fields[i]->store(i + 1);
+
+  const Bytes wire = encode_stats(stats.snapshot());
+  ASSERT_EQ(wire.size(), kStatsSnapshotFields * 8);
+  for (std::size_t i = 0; i < kStatsSnapshotFields; ++i) {
+    EXPECT_EQ(load_le64(wire.data() + 8 * i), i + 1) << "field " << i;
+  }
+
+  const DaemonStatsSnapshot back = decode_stats(wire);
+  const std::uint64_t decoded[] = {
+      back.connections_accepted, back.connections_closed,
+      back.connections_reaped,   back.connections_failed,
+      back.connections_rejected, back.rejected_over_cap,
+      back.rejected_rate_limited, back.rejected_draining,
+      back.sessions_ok,          back.sessions_failed,
+      back.sessions_shed,        back.health_probes,
+      back.active_sessions,      back.live_connections,
+      back.parked_depth,         back.ready_depth,
+      back.parked_peak,          back.ready_peak};
+  for (std::size_t i = 0; i < std::size(decoded); ++i) {
+    EXPECT_EQ(decoded[i], i + 1) << "field " << i;
+  }
 }
 
 TEST(Overload, BackoffScheduleIsSeedReproducible) {
