@@ -9,27 +9,32 @@
 /// \file m61xn.hpp
 /// Data-parallel lanes over F_{2^61 - 1}.
 ///
-/// `M61x8` packs eight independent field elements and provides
-/// add/sub/mul/reduce/select on all lanes at once. The scalar M61 chain in
-/// the OMPE sweeps is latency-bound (each Horner step waits on the previous
+/// `M61x8` packs eight independent field elements, and the fused block
+/// kernels below (`horner8`, `dot8_reduce_strided`, `reduce8_strided`,
+/// `horner8_scatter`, `horner_groups`, `dag_eval8`, `dot8_nodes`) run a
+/// whole OMPE sweep step on all lanes at once. The scalar M61 chain in the
+/// OMPE sweeps is latency-bound (each Horner step waits on the previous
 /// multiply); evaluating eight *points* per instruction turns that into a
 /// throughput problem, which is where the field time actually goes.
 ///
 /// Dispatch has two layers:
 ///   * compile time — an AVX2 kernel is compiled whenever the target allows
 ///     `__attribute__((target("avx2")))` (any x86-64 GCC/clang; no global
-///     `-mavx2` needed), and a NEON-guarded path exists for aarch64;
+///     `-mavx2` needed); every other target compiles the portable kernels
+///     only;
 ///   * run time — `simd_caps()` probes the CPU once (and honours the
-///     `PPDS_FORCE_SCALAR` environment variable) and every lane op branches
-///     on the cached result.
+///     `PPDS_FORCE_SCALAR` environment variable) and every kernel branches
+///     on the cached result, once per call.
 /// The portable fallback executes the exact scalar M61 formulas lane by
-/// lane, so all paths are bit-identical: a lane op must return the same
-/// residues as eight scalar ops, which is what tests/field/m61xn_test.cpp
-/// pins down and what keeps protocol transcripts independent of the ISA.
+/// lane, so all paths are bit-identical: a kernel must return the same
+/// residues as the scalar chain it replaces, which is what
+/// tests/field/m61xn_test.cpp pins down and what keeps protocol transcripts
+/// independent of the ISA.
 ///
-/// All inputs and outputs are canonical residues in [0, p). The only
-/// exception is `M61x8::reduce`, the packed analogue of the `M61(uint64_t)`
-/// constructor: it accepts arbitrary 64-bit lanes and folds them.
+/// Inputs and outputs are canonical residues in [0, p), except where a
+/// kernel says otherwise: the strided readers fold arbitrary 64-bit wire
+/// words exactly like the `M61(uint64_t)` constructor, and `dag_eval8`
+/// stores relaxed residues.
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define PPDS_M61XN_HAVE_AVX2_TARGET 1
@@ -38,26 +43,18 @@
 #define PPDS_M61XN_HAVE_AVX2_TARGET 0
 #endif
 
-#if defined(__ARM_NEON) || defined(__ARM_NEON__)
-#define PPDS_M61XN_HAVE_NEON 1
-#include <arm_neon.h>
-#else
-#define PPDS_M61XN_HAVE_NEON 0
-#endif
-
 namespace ppds::field {
 
 /// Lane count of the packed type. Fixed at 8 so callers can chunk work the
-/// same way on every ISA; narrower engines simply loop inside one op.
+/// same way on every ISA; narrower engines simply loop inside one kernel.
 inline constexpr std::size_t kM61Lanes = 8;
 
 /// Which SIMD engine the process selected, probed once and cached.
 struct SimdCaps {
   bool avx2_compiled = false;  ///< AVX2 kernel exists in this binary.
   bool avx2_runtime = false;   ///< CPU reports AVX2 support.
-  bool neon_compiled = false;  ///< NEON path compiled in (aarch64).
   bool forced_scalar = false;  ///< PPDS_FORCE_SCALAR=1 was set at first use.
-  const char* active = "scalar";  ///< "avx2", "neon", or "scalar".
+  const char* active = "scalar";  ///< "avx2" or "scalar".
 };
 
 namespace detail {
@@ -68,20 +65,11 @@ inline SimdCaps probe_simd_caps() {
   caps.avx2_compiled = true;
   caps.avx2_runtime = __builtin_cpu_supports("avx2") != 0;
 #endif
-#if PPDS_M61XN_HAVE_NEON
-  caps.neon_compiled = true;
-#endif
   const char* force = std::getenv("PPDS_FORCE_SCALAR");
   caps.forced_scalar = force != nullptr && force[0] != '\0' && force[0] != '0';
-  if (caps.forced_scalar) {
-    caps.active = "scalar";
-  } else if (caps.avx2_compiled && caps.avx2_runtime) {
-    caps.active = "avx2";
-  } else if (caps.neon_compiled) {
-    caps.active = "neon";
-  } else {
-    caps.active = "scalar";
-  }
+  caps.active = !caps.forced_scalar && caps.avx2_compiled && caps.avx2_runtime
+                    ? "avx2"
+                    : "scalar";
   return caps;
 }
 
@@ -100,11 +88,6 @@ namespace detail {
 inline bool use_avx2() {
   const SimdCaps& caps = simd_caps();
   return caps.avx2_compiled && caps.avx2_runtime && !caps.forced_scalar;
-}
-
-inline bool use_neon() {
-  const SimdCaps& caps = simd_caps();
-  return caps.neon_compiled && !caps.forced_scalar;
 }
 
 }  // namespace detail
@@ -131,21 +114,10 @@ struct alignas(64) M61x8 {
     return out;
   }
 
-  /// Folds eight arbitrary 64-bit words into canonical residues — the
-  /// packed analogue of the reducing M61(uint64_t) constructor.
-  static M61x8 reduce(const std::uint64_t* raw);
-
   M61 lane(std::size_t i) const { return M61(v[i]); }
 
   void store(M61* p) const {
     for (std::size_t i = 0; i < kM61Lanes; ++i) p[i] = M61(v[i]);
-  }
-
-  /// Horizontal sum of all lanes (mod p); used to finish dot products.
-  M61 hadd() const {
-    M61 acc(0);
-    for (std::size_t i = 0; i < kM61Lanes; ++i) acc = acc + M61(v[i]);
-    return acc;
   }
 
   friend bool operator==(const M61x8& a, const M61x8& b) {
@@ -172,16 +144,6 @@ inline M61x8 add_portable(const M61x8& a, const M61x8& b) {
   return out;
 }
 
-inline M61x8 sub_portable(const M61x8& a, const M61x8& b) {
-  M61x8 out;
-  for (std::size_t i = 0; i < kM61Lanes; ++i) {
-    std::uint64_t s = a.v[i] + M61::kP - b.v[i];
-    if (s >= M61::kP) s -= M61::kP;
-    out.v[i] = s;
-  }
-  return out;
-}
-
 inline M61x8 mul_portable(const M61x8& a, const M61x8& b) {
   M61x8 out;
   for (std::size_t i = 0; i < kM61Lanes; ++i) {
@@ -202,25 +164,6 @@ inline M61x8 reduce_portable(const std::uint64_t* raw) {
     std::uint64_t s = (raw[i] & M61::kP) + (raw[i] >> 61);
     if (s >= M61::kP) s -= M61::kP;
     out.v[i] = s;
-  }
-  return out;
-}
-
-inline M61x8 select_portable(const M61x8& mask, const M61x8& a,
-                             const M61x8& b) {
-  M61x8 out;
-  for (std::size_t i = 0; i < kM61Lanes; ++i) {
-    out.v[i] = (a.v[i] & mask.v[i]) | (b.v[i] & ~mask.v[i]);
-  }
-  return out;
-}
-
-inline M61x8 cmp_eq_portable(const M61x8& a, const M61x8& b) {
-  M61x8 out;
-  for (std::size_t i = 0; i < kM61Lanes; ++i) {
-    // Branch-free equality: all-ones lane mask iff equal.
-    const std::uint64_t d = a.v[i] ^ b.v[i];
-    out.v[i] = d == 0 ? ~std::uint64_t{0} : 0;
   }
   return out;
 }
@@ -261,46 +204,6 @@ __attribute__((target("avx2"))) inline __m256i m61_add_avx2(__m256i a,
   return m61_csub_avx2(_mm256_add_epi64(a, b));
 }
 
-__attribute__((target("avx2"))) inline __m256i m61_sub_avx2(__m256i a,
-                                                            __m256i b) {
-  const __m256i p = _mm256_set1_epi64x(static_cast<long long>(M61::kP));
-  return m61_csub_avx2(_mm256_sub_epi64(_mm256_add_epi64(a, p), b));
-}
-
-__attribute__((target("avx2"))) inline __m256i m61_mul_avx2(__m256i a,
-                                                            __m256i b) {
-  // 64x64 -> 128 via 32-bit partial products, then the Mersenne fold.
-  // Operands are < 2^61, so hi32(a), hi32(b) < 2^29 and:
-  //   m00 = lo(a)*lo(b)            < 2^64
-  //   m01 = lo(a)*hi(b)            < 2^61
-  //   m10 = hi(a)*lo(b)            < 2^61
-  //   m11 = hi(a)*hi(b)            < 2^58
-  //   t   = m01 + m10 + (m00>>32)  < 2^63   (exact, no wrap)
-  //   lo64 = (t<<32) | lo32(m00)            exact low 64 bits of the product
-  //   hi   = m11 + (t>>32)         < 2^59   exact high 64 bits
-  // With 2^64 == 2^3 (mod p):
-  //   r = (hi<<3) + (lo64 & p) + (lo64>>61) < 2^62   == product (mod p)
-  // One more fold plus a conditional subtract canonicalizes r.
-  const __m256i lo_mask = _mm256_set1_epi64x(0xffffffffLL);
-  const __m256i p = _mm256_set1_epi64x(static_cast<long long>(M61::kP));
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i m00 = _mm256_mul_epu32(a, b);
-  const __m256i m01 = _mm256_mul_epu32(a, b_hi);
-  const __m256i m10 = _mm256_mul_epu32(a_hi, b);
-  const __m256i m11 = _mm256_mul_epu32(a_hi, b_hi);
-  const __m256i t = _mm256_add_epi64(_mm256_add_epi64(m01, m10),
-                                     _mm256_srli_epi64(m00, 32));
-  const __m256i lo64 =
-      _mm256_or_si256(_mm256_slli_epi64(t, 32), _mm256_and_si256(m00, lo_mask));
-  const __m256i hi = _mm256_add_epi64(m11, _mm256_srli_epi64(t, 32));
-  __m256i r = _mm256_add_epi64(
-      _mm256_slli_epi64(hi, 3),
-      _mm256_add_epi64(_mm256_and_si256(lo64, p), _mm256_srli_epi64(lo64, 61)));
-  r = _mm256_add_epi64(_mm256_and_si256(r, p), _mm256_srli_epi64(r, 61));
-  return m61_csub_avx2(r);
-}
-
 __attribute__((target("avx2"))) inline __m256i m61_reduce_avx2(__m256i x) {
   const __m256i p = _mm256_set1_epi64x(static_cast<long long>(M61::kP));
   const __m256i s =
@@ -324,12 +227,23 @@ __attribute__((target("avx2"))) inline __m256i m61_fold_avx2(__m256i x) {
   return _mm256_add_epi64(_mm256_and_si256(x, p), _mm256_srli_epi64(x, 61));
 }
 
-/// m61_mul_avx2 without the final fold + conditional subtract: returns a
-/// value < 2^62 + 2^34 congruent to a * b. Operands may be relaxed
-/// (< 2^61 + 4): hi32 stays <= 2^29 + 1, so every partial-product bound in
-/// m61_mul_avx2's derivation still clears its headroom (t < 2^62 + 2^34).
+/// Lane product without the final fold + conditional subtract: returns a
+/// value < 2^62 + 2^34 congruent to a * b.
 __attribute__((target("avx2"))) inline __m256i m61_mul_relaxed_avx2(
     __m256i a, __m256i b) {
+  // 64x64 -> 128 via 32-bit partial products, then the Mersenne fold.
+  // For canonical operands (< 2^61), hi32(a), hi32(b) < 2^29 and:
+  //   m00 = lo(a)*lo(b)            < 2^64
+  //   m01 = lo(a)*hi(b)            < 2^61
+  //   m10 = hi(a)*lo(b)            < 2^61
+  //   m11 = hi(a)*hi(b)            < 2^58
+  //   t   = m01 + m10 + (m00>>32)  < 2^63   (exact, no wrap)
+  //   lo64 = (t<<32) | lo32(m00)            exact low 64 bits of the product
+  //   hi   = m11 + (t>>32)         < 2^59   exact high 64 bits
+  // With 2^64 == 2^3 (mod p):
+  //   r = (hi<<3) + (lo64 & p) + (lo64>>61) < 2^62 + 2^34  == product (mod p)
+  // Operands may also be relaxed (< 2^61 + 4): hi32 stays <= 2^29 + 1, so
+  // every bound above still clears its headroom (t < 2^62 + 2^34).
   const __m256i lo_mask = _mm256_set1_epi64x(0xffffffffLL);
   const __m256i p = _mm256_set1_epi64x(static_cast<long long>(M61::kP));
   const __m256i a_hi = _mm256_srli_epi64(a, 32);
@@ -358,178 +272,26 @@ __attribute__((target("avx2"))) inline M61x8 add_avx2(const M61x8& a,
   return out;
 }
 
-__attribute__((target("avx2"))) inline M61x8 sub_avx2(const M61x8& a,
-                                                      const M61x8& b) {
-  M61x8 out;
-  for (std::size_t i = 0; i < kM61Lanes; i += 4) {
-    store4_avx2(out.v + i,
-                m61_sub_avx2(load4_avx2(a.v + i), load4_avx2(b.v + i)));
-  }
-  return out;
-}
-
-__attribute__((target("avx2"))) inline M61x8 mul_avx2(const M61x8& a,
-                                                      const M61x8& b) {
-  M61x8 out;
-  for (std::size_t i = 0; i < kM61Lanes; i += 4) {
-    store4_avx2(out.v + i,
-                m61_mul_avx2(load4_avx2(a.v + i), load4_avx2(b.v + i)));
-  }
-  return out;
-}
-
-__attribute__((target("avx2"))) inline M61x8 reduce_avx2(
-    const std::uint64_t* raw) {
-  M61x8 out;
-  for (std::size_t i = 0; i < kM61Lanes; i += 4) {
-    store4_avx2(out.v + i, m61_reduce_avx2(load4_avx2(raw + i)));
-  }
-  return out;
-}
-
-__attribute__((target("avx2"))) inline M61x8 select_avx2(const M61x8& mask,
-                                                         const M61x8& a,
-                                                         const M61x8& b) {
-  M61x8 out;
-  for (std::size_t i = 0; i < kM61Lanes; i += 4) {
-    store4_avx2(out.v + i,
-                _mm256_blendv_epi8(load4_avx2(b.v + i), load4_avx2(a.v + i),
-                                   load4_avx2(mask.v + i)));
-  }
-  return out;
-}
-
-__attribute__((target("avx2"))) inline M61x8 cmp_eq_avx2(const M61x8& a,
-                                                         const M61x8& b) {
-  M61x8 out;
-  for (std::size_t i = 0; i < kM61Lanes; i += 4) {
-    store4_avx2(out.v + i,
-                _mm256_cmpeq_epi64(load4_avx2(a.v + i), load4_avx2(b.v + i)));
-  }
-  return out;
-}
-
 #endif  // PPDS_M61XN_HAVE_AVX2_TARGET
-
-// ---------------------------------------------------------------------------
-// NEON: 2-wide add/sub/select. aarch64 has no packed 64x64 multiply, and its
-// scalar 64x64->128 multiply is a single instruction pair, so mul and reduce
-// stay on the portable path there (they are already branch-free).
-// ---------------------------------------------------------------------------
-
-#if PPDS_M61XN_HAVE_NEON
-
-inline M61x8 add_neon(const M61x8& a, const M61x8& b) {
-  const uint64x2_t p = vdupq_n_u64(M61::kP);
-  M61x8 out;
-  for (std::size_t i = 0; i < kM61Lanes; i += 2) {
-    const uint64x2_t s = vaddq_u64(vld1q_u64(a.v + i), vld1q_u64(b.v + i));
-    const uint64x2_t ge = vcgeq_u64(s, p);
-    vst1q_u64(out.v + i, vsubq_u64(s, vandq_u64(ge, p)));
-  }
-  return out;
-}
-
-inline M61x8 sub_neon(const M61x8& a, const M61x8& b) {
-  const uint64x2_t p = vdupq_n_u64(M61::kP);
-  M61x8 out;
-  for (std::size_t i = 0; i < kM61Lanes; i += 2) {
-    const uint64x2_t s =
-        vsubq_u64(vaddq_u64(vld1q_u64(a.v + i), p), vld1q_u64(b.v + i));
-    const uint64x2_t ge = vcgeq_u64(s, p);
-    vst1q_u64(out.v + i, vsubq_u64(s, vandq_u64(ge, p)));
-  }
-  return out;
-}
-
-inline M61x8 select_neon(const M61x8& mask, const M61x8& a, const M61x8& b) {
-  M61x8 out;
-  for (std::size_t i = 0; i < kM61Lanes; i += 2) {
-    vst1q_u64(out.v + i, vbslq_u64(vld1q_u64(mask.v + i), vld1q_u64(a.v + i),
-                                   vld1q_u64(b.v + i)));
-  }
-  return out;
-}
-
-#endif  // PPDS_M61XN_HAVE_NEON
 
 }  // namespace detail
 
-// ---------------------------------------------------------------------------
-// Public lane ops: one cached-capability branch, then the kernel.
-// ---------------------------------------------------------------------------
-
+/// Lane-wise a + b: one cached-capability branch, then the kernel.
 inline M61x8 add(const M61x8& a, const M61x8& b) {
 #if PPDS_M61XN_HAVE_AVX2_TARGET
   if (detail::use_avx2()) return detail::add_avx2(a, b);
 #endif
-#if PPDS_M61XN_HAVE_NEON
-  if (detail::use_neon()) return detail::add_neon(a, b);
-#endif
   return detail::add_portable(a, b);
 }
 
-inline M61x8 sub(const M61x8& a, const M61x8& b) {
-#if PPDS_M61XN_HAVE_AVX2_TARGET
-  if (detail::use_avx2()) return detail::sub_avx2(a, b);
-#endif
-#if PPDS_M61XN_HAVE_NEON
-  if (detail::use_neon()) return detail::sub_neon(a, b);
-#endif
-  return detail::sub_portable(a, b);
-}
-
-inline M61x8 mul(const M61x8& a, const M61x8& b) {
-#if PPDS_M61XN_HAVE_AVX2_TARGET
-  if (detail::use_avx2()) return detail::mul_avx2(a, b);
-#endif
-  return detail::mul_portable(a, b);
-}
-
-/// Branch-free two-way select: lane i of the result is a.v[i] where
-/// mask.v[i] is all-ones and b.v[i] where it is all-zero. Both arms are
-/// always computed — cost is independent of the (possibly secret) mask,
-/// which is what lets secret-dependent choices stay off the branch predictor.
-inline M61x8 select(const M61x8& mask, const M61x8& a, const M61x8& b) {
-#if PPDS_M61XN_HAVE_AVX2_TARGET
-  if (detail::use_avx2()) return detail::select_avx2(mask, a, b);
-#endif
-#if PPDS_M61XN_HAVE_NEON
-  if (detail::use_neon()) return detail::select_neon(mask, a, b);
-#endif
-  return detail::select_portable(mask, a, b);
-}
-
-/// Lane mask builder: all-ones where a.v[i] == b.v[i].
-inline M61x8 cmp_eq(const M61x8& a, const M61x8& b) {
-#if PPDS_M61XN_HAVE_AVX2_TARGET
-  if (detail::use_avx2()) return detail::cmp_eq_avx2(a, b);
-#endif
-  return detail::cmp_eq_portable(a, b);
-}
-
-inline M61x8 M61x8::reduce(const std::uint64_t* raw) {
-#if PPDS_M61XN_HAVE_AVX2_TARGET
-  if (detail::use_avx2()) return detail::reduce_avx2(raw);
-#endif
-  return detail::reduce_portable(raw);
-}
-
-/// Ring operators so M61x8 drops into the templated evaluators
-/// (math::MonomialDag::evaluate, CompiledMultiPoly::evaluate_lanes) exactly
-/// like scalar M61 does.
-inline M61x8 operator+(const M61x8& a, const M61x8& b) { return add(a, b); }
-inline M61x8 operator-(const M61x8& a, const M61x8& b) { return sub(a, b); }
-inline M61x8 operator*(const M61x8& a, const M61x8& b) { return mul(a, b); }
-
 // ---------------------------------------------------------------------------
-// Fused block kernels. The per-element ops above dispatch (and cross a
+// Fused block kernels. A per-element op dispatches (and crosses a
 // target-attribute boundary, which blocks inlining) on EVERY call, so a long
 // chain of them spills the lanes through memory at each step. These kernels
 // compile the whole chain per target and dispatch once per call, keeping the
 // accumulators in vector registers — this is what the OMPE sweeps call.
-// Lane semantics are pinned to the scalar formulas exactly like the
-// per-element ops (tests/field/m61xn_test.cpp).
+// Lane semantics are pinned to the scalar formulas
+// (tests/field/m61xn_test.cpp).
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -575,22 +337,11 @@ inline M61x8 horner8_portable(const M61* c, std::size_t n, const M61x8& x) {
 }
 
 /// Dot-product chain with in-loop reduction: lane l accumulates
-/// init.v[l] + sum_i w[i] * M61(z_raw[i * kM61Lanes + l]), where the raw
-/// words pass through the reducing-constructor fold first — the shape of
-/// the OMPE sender's linear evaluator over a transposed point block.
-inline M61x8 dot8_reduce_portable(const M61x8& init, const M61* w,
-                                  const std::uint64_t* z_raw, std::size_t n) {
-  M61x8 acc = init;
-  for (std::size_t i = 0; i < n; ++i) {
-    const M61x8 z = reduce_portable(z_raw + i * kM61Lanes);
-    acc = add_portable(acc, mul_portable(M61x8::broadcast(w[i]), z));
-  }
-  return acc;
-}
-
-/// Strided variant of the dot chain: lane l's word for term i is read
-/// little-endian from buf + l * stride + 8 * i, so the kernel walks eight
-/// wire records in place with no transpose pass.
+/// init.v[l] + sum_i w[i] * M61(word), where term i's word is read
+/// little-endian from buf + l * stride + 8 * i and passes through the
+/// reducing-constructor fold first. The kernel walks eight wire records in
+/// place with no transpose pass — the shape of the OMPE sender's linear
+/// evaluator.
 inline M61x8 dot8_reduce_strided_portable(const M61x8& init, const M61* w,
                                           const std::uint8_t* buf,
                                           std::size_t stride, std::size_t n) {
@@ -699,25 +450,6 @@ __attribute__((target("avx2"))) inline M61x8 horner8_avx2(const M61* c,
     // Lazy step: acc stays relaxed across the chain, one fold per link.
     a0 = m61_fold_avx2(_mm256_add_epi64(m61_mul_relaxed_avx2(a0, x0), ci));
     a1 = m61_fold_avx2(_mm256_add_epi64(m61_mul_relaxed_avx2(a1, x1), ci));
-  }
-  M61x8 out;
-  store4_avx2(out.v, m61_reduce_avx2(a0));
-  store4_avx2(out.v + 4, m61_reduce_avx2(a1));
-  return out;
-}
-
-__attribute__((target("avx2"))) inline M61x8 dot8_reduce_avx2(
-    const M61x8& init, const M61* w, const std::uint64_t* z_raw,
-    std::size_t n) {
-  __m256i a0 = load4_avx2(init.v);
-  __m256i a1 = load4_avx2(init.v + 4);
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m256i wi =
-        _mm256_set1_epi64x(static_cast<long long>(w[i].value()));
-    const __m256i z0 = m61_reduce_avx2(load4_avx2(z_raw + i * kM61Lanes));
-    const __m256i z1 = m61_reduce_avx2(load4_avx2(z_raw + i * kM61Lanes + 4));
-    a0 = m61_fold_avx2(_mm256_add_epi64(a0, m61_mul_relaxed_avx2(wi, z0)));
-    a1 = m61_fold_avx2(_mm256_add_epi64(a1, m61_mul_relaxed_avx2(wi, z1)));
   }
   M61x8 out;
   store4_avx2(out.v, m61_reduce_avx2(a0));
@@ -997,19 +729,10 @@ inline M61x8 horner8(const M61* c, std::size_t n, const M61x8& x) {
   return detail::horner8_portable(c, n, x);
 }
 
-/// Lane dot product with in-loop raw-word reduction: lane l equals the
-/// scalar chain acc = init; acc = acc + w[i] * M61(z_raw[i*8 + l]) exactly.
-inline M61x8 dot8_reduce(const M61x8& init, const M61* w,
-                         const std::uint64_t* z_raw, std::size_t n) {
-#if PPDS_M61XN_HAVE_AVX2_TARGET
-  if (detail::use_avx2()) return detail::dot8_reduce_avx2(init, w, z_raw, n);
-#endif
-  return detail::dot8_reduce_portable(init, w, z_raw, n);
-}
-
-/// dot8_reduce over eight strided little-endian wire records: lane l's word
-/// for term i lives at buf + l * stride + 8 * i. No transpose pass — the
-/// kernel gathers in place.
+/// Lane dot product over eight strided little-endian wire records: lane l
+/// equals the scalar chain acc = init; acc = acc + w[i] * M61(word) exactly,
+/// where term i's word lives at buf + l * stride + 8 * i. No transpose
+/// pass — the kernel gathers in place.
 inline M61x8 dot8_reduce_strided(const M61x8& init, const M61* w,
                                  const std::uint8_t* buf, std::size_t stride,
                                  std::size_t n) {
@@ -1076,7 +799,8 @@ inline void reduce8_strided(const std::uint8_t* buf, std::size_t stride,
 /// per node step. The stored node values are RELAXED residues: congruent
 /// mod p to the scalar node values but not necessarily < p (the AVX2 path
 /// defers canonicalization). Feed them to dot8_nodes — whose result is
-/// canonical — or apply reduce before comparing bytes.
+/// canonical — or fold them with the M61(uint64_t) constructor before
+/// comparing bytes.
 inline void dag_eval8(const std::uint32_t* parent, const std::uint32_t* var,
                       std::size_t n, std::uint32_t one, const M61x8* x,
                       M61x8* out) {

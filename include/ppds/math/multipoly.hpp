@@ -71,11 +71,11 @@ class MultiPoly {
   std::vector<Term> terms_;
 };
 
-/// Compiled evaluation form of a MultiPoly: flat SoA storage (coefficient
-/// array + CSR exponent lists) plus a monomial evaluation DAG over the
-/// divisor closure of the term monomials. Where MultiPoly::evaluate walks
-/// every term's exponent vector with repeated multiplications (quadratic in
-/// total degree for nonlinear profiles), the compiled form evaluates in one
+/// Compiled evaluation form of a MultiPoly: a flat coefficient array and a
+/// per-term DAG node index over a monomial evaluation DAG (the divisor
+/// closure of the term monomials). Where MultiPoly::evaluate walks every
+/// term's exponent vector with repeated multiplications (quadratic in total
+/// degree for nonlinear profiles), the compiled form evaluates in one
 /// multiplication per DAG node plus one multiply-add per term — and its
 /// inner loop carries no nested vectors, so it vectorizes.
 ///
@@ -113,16 +113,6 @@ class CompiledMultiPoly {
   /// The compiled monomial DAG in graded order.
   const MonomialDag& dag() const { return dag_; }
 
-  /// CSR view of term \p t's exponents: parallel (variable, exponent) runs.
-  std::span<const std::uint32_t> term_vars(std::size_t t) const {
-    return std::span<const std::uint32_t>(csr_var_)
-        .subspan(csr_offsets_[t], csr_offsets_[t + 1] - csr_offsets_[t]);
-  }
-  std::span<const std::uint8_t> term_exps(std::size_t t) const {
-    return std::span<const std::uint8_t>(csr_exp_)
-        .subspan(csr_offsets_[t], csr_offsets_[t + 1] - csr_offsets_[t]);
-  }
-
   /// Evaluates with the compiled double coefficients. \p scratch holds the
   /// node values (resized to node_count()); pass a per-thread instance when
   /// evaluating concurrently.
@@ -150,38 +140,10 @@ class CompiledMultiPoly {
     return acc;
   }
 
-  /// Lane-parallel evaluate_with: \p x holds one packed lane per variable
-  /// (lane l of every entry is point l), coefficients stay scalar and are
-  /// broadcast at use. L must provide broadcast(R), operator+ and operator*
-  /// whose lanes match the scalar ops bit for bit (field::M61x8 does), so
-  /// lane l of the result equals evaluate_with at point l exactly — the
-  /// term walk is the same multiply-add chain, eight points per step.
-  template <typename R, typename L>
-  L evaluate_lanes(std::span<const R> coeffs, std::span<const L> x,
-                   std::vector<L>& scratch) const {
-    detail::require(coeffs.size() == coeffs_.size(),
-                    "CompiledMultiPoly: coefficient count mismatch");
-    detail::require(x.size() == arity_, "CompiledMultiPoly: arity mismatch");
-    scratch.resize(dag_.size());
-    dag_.evaluate(x, std::span<L>(scratch));
-    L acc{};
-    for (std::size_t t = 0; t < coeffs.size(); ++t) {
-      const std::uint32_t node = term_node_[t];
-      const L c = L::broadcast(coeffs[t]);
-      acc = acc + (node == kOne ? c : c * scratch[node]);
-    }
-    return acc;
-  }
-
  private:
   std::size_t arity_ = 0;
   std::vector<double> coeffs_;           ///< per term, source order
   std::vector<std::uint32_t> term_node_; ///< DAG node per term (kOne = const)
-  /// CSR exponents: term t's nonzero exponents live in
-  /// csr_var_/csr_exp_[csr_offsets_[t] .. csr_offsets_[t+1]).
-  std::vector<std::uint32_t> csr_offsets_;
-  std::vector<std::uint32_t> csr_var_;
-  std::vector<std::uint8_t> csr_exp_;
   /// Nodes of the divisor closure in graded order.
   MonomialDag dag_;
 };

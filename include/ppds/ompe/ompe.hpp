@@ -69,8 +69,8 @@ struct OmpeParams {
   /// (run_sender) secrets evaluate through the compiled monomial DAG
   /// (math::CompiledMultiPoly), and the field-backend sweeps run on packed
   /// Mersenne-61 lanes (field::M61x8), whose kernels field::simd_caps()
-  /// dispatches to AVX2, NEON or portable code. Every dispatch yields the
-  /// same bytes (pinned by tests/ompe/ompe_parallel_test.cpp).
+  /// dispatches to AVX2 or portable code. Every dispatch yields the same
+  /// bytes (pinned by tests/ompe/ompe_parallel_test.cpp).
   unsigned eval_threads = 0;
 
   /// Number of pairs the receiver keeps (polynomial degree p known).

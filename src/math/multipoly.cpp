@@ -148,24 +148,15 @@ CompiledMultiPoly::CompiledMultiPoly(const MultiPoly& poly)
   const std::vector<Term>& terms = poly.terms();
   coeffs_.reserve(terms.size());
   term_node_.resize(terms.size());
-  csr_offsets_.reserve(terms.size() + 1);
-  csr_offsets_.push_back(0);
 
-  // Pass 1: flatten coefficients and exponents into the SoA/CSR layout and
-  // collect the divisor closure of the term monomials — every monomial on
+  // Pass 1: copy the coefficients in source order and collect the divisor
+  // closure of the term monomials — every monomial on
   // the chain from a term down to degree 1 (decrementing the last nonzero
   // exponent) becomes a DAG node.
   std::unordered_map<std::string, std::uint32_t> index;
   std::vector<Exponents> nodes;
   for (const Term& term : terms) {
     coeffs_.push_back(term.coeff);
-    for (std::size_t i = 0; i < term.exps.size(); ++i) {
-      if (term.exps[i] == 0) continue;
-      csr_var_.push_back(static_cast<std::uint32_t>(i));
-      csr_exp_.push_back(term.exps[i]);
-    }
-    csr_offsets_.push_back(static_cast<std::uint32_t>(csr_var_.size()));
-
     Exponents chain = term.exps;
     std::string key(chain.begin(), chain.end());
     while (true) {

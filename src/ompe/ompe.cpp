@@ -584,14 +584,11 @@ void run_sender_impl(net::Endpoint& channel, std::size_t arity,
         // on lanes, so every lane reproduces the scalar bytes exactly.
         const std::vector<M61>& hc = h.coeffs();
         LaneScratch scratch8;
-        std::uint64_t raw[kM61Lanes];
         std::size_t i0 = begin;
         for (; i0 + kM61Lanes <= end; i0 += kM61Lanes) {
           const std::uint8_t* block = body.subspan(i0 * stride).data();
-          for (std::size_t lane = 0; lane < kM61Lanes; ++lane) {
-            raw[lane] = load_le64(block + lane * stride);
-          }
-          const M61x8 v8 = M61x8::reduce(raw);
+          M61x8 v8;
+          field::reduce8_strided(block, stride, 1, &v8);
           const M61x8 h8 = field::horner8(hc.data(), hc.size(), v8);
           const M61x8 w8 =
               field::add(h8, eval_field8(block + 8, stride, scratch8));

@@ -11,10 +11,10 @@
 #include "ppds/common/rng.hpp"
 #include "ppds/field/m61.hpp"
 
-// The lane backend's contract is bit-identity with scalar M61: every lane op
-// must return exactly the residues eight scalar ops would. These tests sweep
-// the fold boundaries (0, 1, p-1, p, 2^61-1, 2^64-1) and 10k seeded random
-// pairs per op through whichever kernel simd_caps() dispatched to; the CI
+// The lane backend's contract is bit-identity with scalar M61: every kernel
+// must return exactly the residues the scalar chain would. These tests sweep
+// the fold boundaries (0, 1, p-1, p, 2^61-1, 2^64-1) and seeded random
+// inputs through whichever kernel simd_caps() dispatched to; the CI
 // forced-scalar leg reruns the same suite with PPDS_FORCE_SCALAR=1 so the
 // portable path gets the identical sweep.
 
@@ -38,16 +38,41 @@ M61x8 lanes_of(const std::vector<M61>& xs, std::size_t base) {
   return M61x8::load(tmp.data());
 }
 
+M61x8 random_lanes(Rng& rng) {
+  M61x8 x = M61x8::zero();
+  for (std::size_t l = 0; l < kM61Lanes; ++l) {
+    x.v[l] = random_element(rng).value();
+  }
+  return x;
+}
+
+// Folds every lane with the reducing M61(uint64_t) constructor: the scalar
+// reading of a relaxed residue, for comparing dag_eval8 output.
+M61x8 canonical(const M61x8& x) {
+  M61x8 out;
+  for (std::size_t l = 0; l < kM61Lanes; ++l) out.v[l] = M61(x.v[l]).value();
+  return out;
+}
+
+// Packs eight raw words into eight one-word wire records for reduce8_strided.
+std::array<std::uint8_t, 8 * kM61Lanes> records_of(
+    const std::array<std::uint64_t, kM61Lanes>& raw) {
+  std::array<std::uint8_t, 8 * kM61Lanes> buf{};
+  for (std::size_t l = 0; l < kM61Lanes; ++l) {
+    std::memcpy(buf.data() + 8 * l, &raw[l], 8);
+  }
+  return buf;
+}
+
 TEST(SimdCaps, ProbeIsConsistentAndLogged) {
   const SimdCaps& caps = simd_caps();
   // Visible in the test log so CI legs can confirm which path they exercised.
   std::printf("simd_caps: active=%s avx2_compiled=%d avx2_runtime=%d "
-              "neon_compiled=%d forced_scalar=%d\n",
+              "forced_scalar=%d\n",
               caps.active, caps.avx2_compiled ? 1 : 0,
-              caps.avx2_runtime ? 1 : 0, caps.neon_compiled ? 1 : 0,
-              caps.forced_scalar ? 1 : 0);
+              caps.avx2_runtime ? 1 : 0, caps.forced_scalar ? 1 : 0);
   const std::string active = caps.active;
-  EXPECT_TRUE(active == "avx2" || active == "neon" || active == "scalar");
+  EXPECT_TRUE(active == "avx2" || active == "scalar");
   if (caps.forced_scalar) {
     EXPECT_EQ(active, "scalar");
   }
@@ -55,9 +80,6 @@ TEST(SimdCaps, ProbeIsConsistentAndLogged) {
     EXPECT_TRUE(caps.avx2_compiled);
     EXPECT_TRUE(caps.avx2_runtime);
     EXPECT_FALSE(caps.forced_scalar);
-  }
-  if (active == "neon") {
-    EXPECT_TRUE(caps.neon_compiled);
   }
   // The probe is cached: a second call must return the same selection.
   EXPECT_EQ(std::string(simd_caps().active), active);
@@ -76,13 +98,15 @@ TEST(M61x8, BroadcastLoadStoreRoundTrip) {
 }
 
 TEST(M61x8, ReduceMatchesScalarConstructorOnBoundaries) {
-  // Every pairing of boundary words through the packed fold vs M61(uint64).
+  // Every pairing of boundary words through the strided packed fold vs
+  // M61(uint64).
   for (std::uint64_t hi : kRawBoundaries) {
     std::array<std::uint64_t, kM61Lanes> raw{};
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
       raw[i] = i < kRawBoundaries.size() ? kRawBoundaries[i] : hi;
     }
-    const M61x8 folded = M61x8::reduce(raw.data());
+    M61x8 folded;
+    reduce8_strided(records_of(raw).data(), 8, 1, &folded);
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
       EXPECT_EQ(folded.lane(i), M61(raw[i])) << "lane " << i;
     }
@@ -94,7 +118,8 @@ TEST(M61x8, ReduceMatchesScalarConstructorRandom) {
   for (int iter = 0; iter < 10000 / 8; ++iter) {
     std::array<std::uint64_t, kM61Lanes> raw{};
     for (auto& w : raw) w = rng();
-    const M61x8 folded = M61x8::reduce(raw.data());
+    M61x8 folded;
+    reduce8_strided(records_of(raw).data(), 8, 1, &folded);
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
       ASSERT_EQ(folded.lane(i), M61(raw[i])) << "lane " << i;
     }
@@ -104,6 +129,8 @@ TEST(M61x8, ReduceMatchesScalarConstructorRandom) {
 TEST(M61x8, AddSubMulMatchScalarOnBoundaries) {
   // Canonicalized boundary residues in every lane pairing: the raw words
   // above reduce to {0, 1, p-1} which are exactly the wrap-around cases.
+  // The product runs through horner8 with coefficients {0, b}, the kernel
+  // that carries the lane multiply.
   std::vector<M61> elems;
   elems.reserve(kRawBoundaries.size() * kRawBoundaries.size());
   for (std::uint64_t a : kRawBoundaries) {
@@ -117,11 +144,13 @@ TEST(M61x8, AddSubMulMatchScalarOnBoundaries) {
   for (std::size_t i = 0; i + kM61Lanes <= elems.size(); i += kM61Lanes) {
     for (std::size_t j = 0; j + kM61Lanes <= elems.size(); j += kM61Lanes) {
       const M61x8 a = lanes_of(elems, i), b = lanes_of(elems, j);
-      const M61x8 s = add(a, b), d = sub(a, b), p = mul(a, b);
+      const M61x8 s = add(a, b);
       for (std::size_t l = 0; l < kM61Lanes; ++l) {
         ASSERT_EQ(s.lane(l), elems[i + l] + elems[j + l]) << "add lane " << l;
-        ASSERT_EQ(d.lane(l), elems[i + l] - elems[j + l]) << "sub lane " << l;
-        ASSERT_EQ(p.lane(l), elems[i + l] * elems[j + l]) << "mul lane " << l;
+        const std::array<M61, 2> c = {M61(0), elems[j + l]};
+        ASSERT_EQ(horner8(c.data(), c.size(), a).lane(l),
+                  elems[i + l] * elems[j + l])
+            << "mul lane " << l;
       }
     }
   }
@@ -142,102 +171,15 @@ TEST(M61x8, AddMatchesScalarRandom) {
   }
 }
 
-TEST(M61x8, SubMatchesScalarRandom) {
-  Rng rng(103);
-  for (int iter = 0; iter < 10000 / 8; ++iter) {
-    std::array<M61, kM61Lanes> xs{}, ys{};
-    for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      xs[i] = random_element(rng);
-      ys[i] = random_element(rng);
-    }
-    const M61x8 r = sub(M61x8::load(xs.data()), M61x8::load(ys.data()));
-    for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      ASSERT_EQ(r.lane(i), xs[i] - ys[i]) << "lane " << i;
-    }
-  }
-}
-
-TEST(M61x8, MulMatchesScalarRandom) {
-  Rng rng(104);
-  for (int iter = 0; iter < 10000 / 8; ++iter) {
-    std::array<M61, kM61Lanes> xs{}, ys{};
-    for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      xs[i] = random_element(rng);
-      ys[i] = random_element(rng);
-    }
-    const M61x8 r = mul(M61x8::load(xs.data()), M61x8::load(ys.data()));
-    for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      ASSERT_EQ(r.lane(i), xs[i] * ys[i]) << "lane " << i;
-    }
-  }
-}
-
-TEST(M61x8, SelectIsBranchFreeTwoWay) {
-  Rng rng(105);
-  for (int iter = 0; iter < 10000 / 8; ++iter) {
-    std::array<M61, kM61Lanes> xs{}, ys{};
-    std::array<bool, kM61Lanes> take_a{};
-    M61x8 mask = M61x8::zero();
-    for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      xs[i] = random_element(rng);
-      ys[i] = random_element(rng);
-      take_a[i] = (rng() & 1) != 0;
-      mask.v[i] = take_a[i] ? ~std::uint64_t{0} : 0;
-    }
-    const M61x8 r = select(mask, M61x8::load(xs.data()), M61x8::load(ys.data()));
-    for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      ASSERT_EQ(r.lane(i), take_a[i] ? xs[i] : ys[i]) << "lane " << i;
-    }
-  }
-}
-
-TEST(M61x8, CmpEqBuildsFullLaneMasks) {
-  Rng rng(106);
-  for (int iter = 0; iter < 1000; ++iter) {
-    std::array<M61, kM61Lanes> xs{}, ys{};
-    for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      xs[i] = random_element(rng);
-      ys[i] = (rng() & 1) != 0 ? xs[i] : random_element(rng);
-    }
-    const M61x8 m = cmp_eq(M61x8::load(xs.data()), M61x8::load(ys.data()));
-    for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      ASSERT_EQ(m.v[i], xs[i] == ys[i] ? ~std::uint64_t{0} : std::uint64_t{0})
-          << "lane " << i;
-    }
-  }
-}
-
-TEST(M61x8, HaddMatchesScalarSum) {
-  Rng rng(107);
-  for (int iter = 0; iter < 1000; ++iter) {
-    std::array<M61, kM61Lanes> xs{};
-    M61 expect(0);
-    for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      xs[i] = random_element(rng);
-      expect = expect + xs[i];
-    }
-    ASSERT_EQ(M61x8::load(xs.data()).hadd(), expect);
-  }
-}
-
 // Every dispatch path that is compiled into this binary must agree with the
-// portable reference, whatever simd_caps() picked for the public ops.
+// portable reference, whatever simd_caps() picked for the public op.
 TEST(M61x8, CompiledKernelsAgreeWithPortable) {
 #if PPDS_M61XN_HAVE_AVX2_TARGET
   if (simd_caps().avx2_runtime) {
     Rng rng(108);
     for (int iter = 0; iter < 2000; ++iter) {
-      M61x8 a = M61x8::zero(), b = M61x8::zero();
-      std::array<std::uint64_t, kM61Lanes> raw{};
-      for (std::size_t i = 0; i < kM61Lanes; ++i) {
-        a.v[i] = random_element(rng).value();
-        b.v[i] = random_element(rng).value();
-        raw[i] = rng();
-      }
+      const M61x8 a = random_lanes(rng), b = random_lanes(rng);
       ASSERT_EQ(detail::add_avx2(a, b), detail::add_portable(a, b));
-      ASSERT_EQ(detail::sub_avx2(a, b), detail::sub_portable(a, b));
-      ASSERT_EQ(detail::mul_avx2(a, b), detail::mul_portable(a, b));
-      ASSERT_EQ(detail::reduce_avx2(raw.data()), detail::reduce_portable(raw.data()));
     }
   } else {
     GTEST_SKIP() << "CPU lacks AVX2; cross-kernel check not runnable";
@@ -276,31 +218,6 @@ TEST(M61Kernels, Horner8MatchesScalarChain) {
   }
 }
 
-TEST(M61Kernels, Dot8ReduceMatchesScalarChain) {
-  Rng rng(202);
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                        std::size_t{64}}) {
-    for (int iter = 0; iter < 100; ++iter) {
-      std::vector<M61> w(n);
-      std::vector<std::uint64_t> raw(n * kM61Lanes);
-      for (auto& wi : w) wi = random_element(rng);
-      for (auto& r : raw) r = rng();  // full 64-bit words: reduce in the loop
-      M61x8 init = M61x8::zero();
-      for (std::size_t l = 0; l < kM61Lanes; ++l) {
-        init.v[l] = random_element(rng).value();
-      }
-      const M61x8 got = dot8_reduce(init, w.data(), raw.data(), n);
-      for (std::size_t l = 0; l < kM61Lanes; ++l) {
-        M61 acc = init.lane(l);
-        for (std::size_t i = 0; i < n; ++i) {
-          acc = acc + w[i] * M61(raw[i * kM61Lanes + l]);
-        }
-        ASSERT_EQ(got.lane(l), acc) << "n=" << n << " lane " << l;
-      }
-    }
-  }
-}
-
 TEST(M61Kernels, Dot8ReduceStridedMatchesDenseChain) {
   Rng rng(203);
   const std::size_t n = 19;
@@ -322,9 +239,12 @@ TEST(M61Kernels, Dot8ReduceStridedMatchesDenseChain) {
     }
     const M61x8 init = M61x8::broadcast(random_element(rng));
     const M61x8 got = dot8_reduce_strided(init, w.data(), buf.data(), stride, n);
-    const M61x8 want = dot8_reduce(init, w.data(), dense.data(), n);
     for (std::size_t l = 0; l < kM61Lanes; ++l) {
-      ASSERT_EQ(got.lane(l), want.lane(l)) << "lane " << l;
+      M61 acc = init.lane(l);
+      for (std::size_t i = 0; i < n; ++i) {
+        acc = acc + w[i] * M61(dense[i * kM61Lanes + l]);
+      }
+      ASSERT_EQ(got.lane(l), acc) << "lane " << l;
     }
   }
 }
@@ -428,11 +348,11 @@ TEST(M61Kernels, DagEval8IsCongruentToScalarDagSweep) {
     for (std::size_t i = 0; i < parent.size(); ++i) {
       // Relaxed contract: canonicalize before comparing against the scalar
       // recurrence (the scalar side is canonical at every node).
-      const M61x8 canon = M61x8::reduce(out[i].v);
+      const M61x8 canon = canonical(out[i]);
       for (std::size_t l = 0; l < kM61Lanes; ++l) {
         const M61 xv = x[var[i]].lane(l);
         const M61 want =
-            parent[i] == one ? xv : M61x8::reduce(out[parent[i]].v).lane(l) * xv;
+            parent[i] == one ? xv : canonical(out[parent[i]]).lane(l) * xv;
         ASSERT_EQ(canon.lane(l), want) << "node " << i << " lane " << l;
       }
     }
@@ -467,38 +387,98 @@ TEST(M61Kernels, Dot8NodesCanonicalOverRelaxedWork) {
       for (std::size_t t = 0; t < node.size(); ++t) {
         acc = acc + (node[t] == one
                          ? c[t]
-                         : c[t] * M61x8::reduce(work[node[t]].v).lane(l));
+                         : c[t] * canonical(work[node[t]]).lane(l));
       }
       ASSERT_EQ(got.lane(l), acc) << "lane " << l;
     }
   }
 }
 
-// Both compiled kernel families must agree on the fused entry points too,
-// not just the per-op primitives.
+// Both compiled kernel families of every fused entry point, side by side in
+// one process, so the AVX2 leg is checked against the portable reference on
+// identical inputs (the public dispatchers only ever reach one of them).
+// Term and group counts are odd and even to cover the unrolled loops' tails.
 TEST(M61Kernels, FusedAvx2AgreesWithPortable) {
 #if PPDS_M61XN_HAVE_AVX2_TARGET
   if (!simd_caps().avx2_runtime) {
     GTEST_SKIP() << "CPU lacks AVX2; cross-kernel check not runnable";
   }
   Rng rng(208);
-  const std::size_t n = 23;
+  // Monomial DAG over 3 variables and a term walk over it: a constant term
+  // plus one term per node.
+  const std::uint32_t one = 0xffffffffu;
+  const std::vector<std::uint32_t> parent = {one, one, one, 0, 3, 4, 5};
+  const std::vector<std::uint32_t> var = {0, 1, 2, 1, 2, 0, 0};
+  const std::vector<std::uint32_t> node = {one, 0, 1, 2, 3, 4, 5, 6};
   for (int iter = 0; iter < 200; ++iter) {
-    std::vector<M61> c(n);
-    for (auto& ci : c) ci = random_element(rng);
-    M61x8 x = M61x8::zero();
-    for (std::size_t l = 0; l < kM61Lanes; ++l) {
-      x.v[l] = random_element(rng).value();
-    }
-    const M61x8 ha = detail::horner8_avx2(c.data(), n, x);
-    const M61x8 hp = detail::horner8_portable(c.data(), n, x);
-    ASSERT_EQ(ha, hp);
+    for (std::size_t n : {std::size_t{22}, std::size_t{23}}) {
+      std::vector<M61> c(n);
+      for (auto& ci : c) ci = random_element(rng);
+      const M61x8 x = random_lanes(rng);
+      ASSERT_EQ(detail::horner8_avx2(c.data(), n, x),
+                detail::horner8_portable(c.data(), n, x));
 
-    std::vector<std::uint64_t> raw(n * kM61Lanes);
-    for (auto& r : raw) r = rng();
-    const M61x8 da = detail::dot8_reduce_avx2(x, c.data(), raw.data(), n);
-    const M61x8 dp = detail::dot8_reduce_portable(x, c.data(), raw.data(), n);
-    ASSERT_EQ(da, dp);
+      // Eight wire records of raw 64-bit words, boundary words mixed in.
+      const std::size_t stride = 8 * n + 5;
+      std::vector<std::uint8_t> buf(kM61Lanes * stride);
+      for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+      for (std::size_t l = 0; l < kM61Lanes; ++l) {
+        const std::uint64_t w = kRawBoundaries[(iter + l) % kRawBoundaries.size()];
+        std::memcpy(buf.data() + l * stride + 8 * (l % n), &w, 8);
+      }
+      ASSERT_EQ(
+          detail::dot8_reduce_strided_avx2(x, c.data(), buf.data(), stride, n),
+          detail::dot8_reduce_strided_portable(x, c.data(), buf.data(), stride,
+                                               n));
+      std::vector<M61x8> ra(n), rp(n);
+      detail::reduce8_strided_avx2(buf.data(), stride, n, ra.data());
+      detail::reduce8_strided_portable(buf.data(), stride, n, rp.data());
+      ASSERT_EQ(ra, rp);
+
+      // Cover-style groups of two coefficients: 10 or 11 groups, so both
+      // the paired and the single-group loops run.
+      const std::size_t deg_p1 = 2;
+      const std::size_t groups = n - 12;
+      const std::size_t rec = 8 * groups;
+      std::vector<std::uint8_t> sa(kM61Lanes * rec), sp(kM61Lanes * rec);
+      std::array<std::uint8_t*, kM61Lanes> pa{}, pp{};
+      for (std::size_t l = 0; l < kM61Lanes; ++l) {
+        pa[l] = sa.data() + l * rec;
+        pp[l] = sp.data() + l * rec;
+      }
+      detail::horner8_scatter_avx2(c.data(), deg_p1, groups, x, pa.data());
+      detail::horner8_scatter_portable(c.data(), deg_p1, groups, x, pp.data());
+      ASSERT_EQ(sa, sp);
+      std::vector<std::uint8_t> ga(rec), gp(rec);
+      detail::horner_groups_avx2(c.data(), deg_p1, groups, x.lane(0),
+                                 ga.data());
+      detail::horner_groups_portable(c.data(), deg_p1, groups, x.lane(0),
+                                     gp.data());
+      ASSERT_EQ(ga, gp);
+    }
+
+    // dag_eval8: the AVX2 leg stores relaxed residues, so canonicalize them
+    // before comparing; dot8_nodes then runs each leg over its own work
+    // array, the pairing the dispatchers produce, and must agree exactly.
+    std::vector<M61x8> x(3);
+    for (auto& xv : x) xv = random_lanes(rng);
+    std::vector<M61x8> wa(parent.size()), wp(parent.size());
+    detail::dag_eval8_avx2(parent.data(), var.data(), parent.size(), one,
+                           x.data(), wa.data());
+    detail::dag_eval8_portable(parent.data(), var.data(), parent.size(), one,
+                               x.data(), wp.data());
+    for (std::size_t i = 0; i < parent.size(); ++i) {
+      ASSERT_EQ(canonical(wa[i]), wp[i]) << "node " << i;
+    }
+    std::vector<M61> c(node.size());
+    for (auto& ci : c) ci = random_element(rng);
+    for (std::size_t terms : {node.size() - 1, node.size()}) {
+      ASSERT_EQ(
+          detail::dot8_nodes_avx2(c.data(), node.data(), terms, one, wa.data()),
+          detail::dot8_nodes_portable(c.data(), node.data(), terms, one,
+                                      wp.data()))
+          << "terms " << terms;
+    }
   }
 #else
   GTEST_SKIP() << "no AVX2 kernel compiled on this target";
