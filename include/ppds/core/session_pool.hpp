@@ -71,14 +71,14 @@ enum class TransportKind {
 };
 
 /// Transport configuration of the per-session channels a pool creates:
-/// queue bounds and latency model, a receive deadline, optional
+/// queue bounds, a receive deadline, optional
 /// deterministic fault injection (chaos tests), and the retry policy.
 struct TransportOptions {
   /// kSocketPair moves every frame through the kernel instead of the
   /// in-process queues — same framing, same validation, same fault-decision
   /// streams (net::FaultEngine), so the whole chaos matrix reruns over real
-  /// file descriptors by flipping this one knob. `channel` queue bounds and
-  /// latency then do not apply (the kernel socket buffer is the queue).
+  /// file descriptors by flipping this one knob. `channel` queue bounds then
+  /// do not apply (the kernel socket buffer is the queue).
   TransportKind kind = TransportKind::kInProcess;
   net::ChannelOptions channel;
   /// recv() deadline measured from session-attempt start; zero blocks
@@ -113,8 +113,8 @@ class SessionPool {
       const std::vector<std::vector<double>>& samples, std::uint64_t seed,
       std::size_t chunk_size = 8);
 
-  /// As above, over explicitly configured transport: bounded/latency
-  /// channels, receive deadlines, deterministic fault injection, and
+  /// As above, over explicitly configured transport: bounded channels,
+  /// receive deadlines, deterministic fault injection, and
   /// whole-session retry (see TransportOptions). With the default options
   /// this is identical to the plain overload.
   std::vector<int> classify_batch(

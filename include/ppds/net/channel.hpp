@@ -35,34 +35,16 @@
 ///    queued messages still drain, then recv() throws ProtocolError, and
 ///    further sends throw immediately.
 ///
-/// An optional LatencyModel charges simulated wire time per message; the
-/// charge is accounted, not slept, so benches stay fast while still
-/// reporting network cost. Wire time and TrafficStats::bytes cover payload
-/// bytes only; frame-header bytes are tracked in overhead_bytes.
+/// TrafficStats::bytes covers payload bytes only; frame-header bytes are
+/// tracked in overhead_bytes.
 
 namespace ppds::net {
-
-/// Simulated link characteristics. Cost per message =
-/// latency_us + bytes * 8 / bandwidth_mbps microseconds.
-struct LatencyModel {
-  double latency_us = 0.0;
-  double bandwidth_mbps = 0.0;  ///< 0 means infinite bandwidth.
-
-  double cost_us(std::size_t bytes) const {
-    double us = latency_us;
-    if (bandwidth_mbps > 0.0) {
-      us += static_cast<double>(bytes) * 8.0 / bandwidth_mbps;
-    }
-    return us;
-  }
-};
 
 /// Traffic statistics of one endpoint (what this party SENT).
 struct TrafficStats {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;           ///< payload bytes
   std::uint64_t overhead_bytes = 0;  ///< frame-header bytes
-  double simulated_wire_us = 0.0;
 };
 
 /// Absolute receive deadline. Deadline{} (or never()) blocks indefinitely;
@@ -105,7 +87,6 @@ class Deadline {
 /// default comfortably, while a producer that outruns a stalled peer fails
 /// fast instead of OOMing the process.
 struct ChannelOptions {
-  LatencyModel latency;
   std::size_t max_queue_bytes = std::size_t{1} << 30;  // 1 GiB
 };
 
@@ -190,13 +171,10 @@ class Pipe {
 
 struct Link {
   explicit Link(const ChannelOptions& options)
-      : a_to_b(options.max_queue_bytes),
-        b_to_a(options.max_queue_bytes),
-        latency(options.latency) {}
+      : a_to_b(options.max_queue_bytes), b_to_a(options.max_queue_bytes) {}
 
   Pipe a_to_b;
   Pipe b_to_a;
-  LatencyModel latency;
 };
 
 }  // namespace detail
@@ -261,9 +239,6 @@ class Endpoint {
     stats_.messages += 1;
     stats_.bytes += payload_bytes;
     stats_.overhead_bytes += kFrameHeaderBytes;
-    if (link_) {
-      stats_.simulated_wire_us += link_->latency.cost_us(payload_bytes);
-    }
   }
 
   /// Blocks until the peer's next message arrives or \p deadline expires
@@ -432,15 +407,9 @@ class Endpoint {
 /// Creates a connected endpoint pair (first = party A / sender side by
 /// convention, second = party B).
 inline std::pair<Endpoint, Endpoint> make_channel(
-    const ChannelOptions& options) {
+    const ChannelOptions& options = {}) {
   auto link = std::make_shared<detail::Link>(options);
   return {Endpoint(link, true), Endpoint(link, false)};
-}
-
-inline std::pair<Endpoint, Endpoint> make_channel(LatencyModel latency = {}) {
-  ChannelOptions options;
-  options.latency = latency;
-  return make_channel(options);
 }
 
 /// Sends one busy control frame on \p channel (stamped at Stage::kControl

@@ -72,10 +72,10 @@ auto run_two_party_on(Endpoint& end_a, Endpoint& end_b, FnA&& party_a,
 /// Runs \p party_a and \p party_b concurrently over a fresh channel.
 /// Both callables take an Endpoint&. Blocks until both finish.
 template <typename FnA, typename FnB>
-auto run_two_party(FnA&& party_a, FnB&& party_b, LatencyModel latency = {})
+auto run_two_party(FnA&& party_a, FnB&& party_b)
     -> TwoPartyOutcome<std::invoke_result_t<FnA, Endpoint&>,
                        std::invoke_result_t<FnB, Endpoint&>> {
-  auto [end_a, end_b] = make_channel(latency);
+  auto [end_a, end_b] = make_channel();
   return run_two_party_on(end_a, end_b, std::forward<FnA>(party_a),
                           std::forward<FnB>(party_b));
 }

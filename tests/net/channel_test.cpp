@@ -40,22 +40,6 @@ TEST(Channel, StatsCountBytesAndMessages) {
   EXPECT_EQ(a.stats().bytes, 0u);
 }
 
-TEST(Channel, LatencyModelAccountsWireTime) {
-  LatencyModel model;
-  model.latency_us = 100.0;
-  model.bandwidth_mbps = 8.0;  // 1 byte per microsecond
-  auto [a, b] = make_channel(model);
-  a.send(Bytes(50, 0));
-  EXPECT_DOUBLE_EQ(a.stats().simulated_wire_us, 100.0 + 50.0);
-  b.recv();
-}
-
-TEST(Channel, LatencyModelZeroBandwidthMeansInfinite) {
-  LatencyModel model;
-  model.latency_us = 7.0;
-  EXPECT_DOUBLE_EQ(model.cost_us(1000000), 7.0);
-}
-
 TEST(Channel, CloseUnblocksPeerWithError) {
   auto [a, b] = make_channel();
   std::thread t([&a_ref = a] { a_ref.close(); });
