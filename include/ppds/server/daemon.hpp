@@ -116,60 +116,6 @@ struct DaemonOptions {
   std::size_t max_ready = 0;
 };
 
-/// Monotone counters, readable while the daemon runs (and after stop()).
-/// The atomics make this struct non-copyable; snapshot() is the plain-value
-/// view (and what the kHealth service serializes). Books invariant, held
-/// whenever the daemon is drained: every accepted connection retires into
-/// exactly one of closed / reaped / failed / rejected.
-struct DaemonStats {
-  std::atomic<std::uint64_t> connections_accepted{0};
-  std::atomic<std::uint64_t> connections_closed{0};  ///< clean goodbyes/EOFs
-  std::atomic<std::uint64_t> connections_reaped{0};  ///< idle-timeout kills
-  std::atomic<std::uint64_t> connections_failed{0};  ///< failed-session kills
-  /// Shed at the accept with a busy frame, before admission (split out by
-  /// reason below).
-  std::atomic<std::uint64_t> connections_rejected{0};
-  std::atomic<std::uint64_t> rejected_over_cap{0};
-  std::atomic<std::uint64_t> rejected_rate_limited{0};
-  std::atomic<std::uint64_t> rejected_draining{0};
-  std::atomic<std::uint64_t> sessions_ok{0};
-  std::atomic<std::uint64_t> sessions_failed{0};  ///< aborted mid-protocol
-  /// Admitted connections whose service select was answered busy(draining)
-  /// instead of a session (counted under connections_closed for the books).
-  std::atomic<std::uint64_t> sessions_shed{0};
-  std::atomic<std::uint64_t> health_probes{0};
-  std::atomic<std::uint64_t> active_sessions{0};  ///< gauge, not monotone
-  /// Gauge: admitted and not yet retired (parked + ready + in a worker).
-  std::atomic<std::uint64_t> live_connections{0};
-  std::atomic<std::uint64_t> parked_depth{0};  ///< gauge
-  std::atomic<std::uint64_t> ready_depth{0};   ///< gauge
-  std::atomic<std::uint64_t> parked_peak{0};   ///< high-water mark
-  std::atomic<std::uint64_t> ready_peak{0};    ///< high-water mark
-
-  DaemonStatsSnapshot snapshot() const {
-    DaemonStatsSnapshot s;
-    s.connections_accepted = connections_accepted.load();
-    s.connections_closed = connections_closed.load();
-    s.connections_reaped = connections_reaped.load();
-    s.connections_failed = connections_failed.load();
-    s.connections_rejected = connections_rejected.load();
-    s.rejected_over_cap = rejected_over_cap.load();
-    s.rejected_rate_limited = rejected_rate_limited.load();
-    s.rejected_draining = rejected_draining.load();
-    s.sessions_ok = sessions_ok.load();
-    s.sessions_failed = sessions_failed.load();
-    s.sessions_shed = sessions_shed.load();
-    s.health_probes = health_probes.load();
-    s.active_sessions = active_sessions.load();
-    s.live_connections = live_connections.load();
-    s.parked_depth = parked_depth.load();
-    s.ready_depth = ready_depth.load();
-    s.parked_peak = parked_peak.load();
-    s.ready_peak = ready_peak.load();
-    return s;
-  }
-};
-
 /// True when \p fd has bytes (or an EOF) waiting to be read RIGHT NOW — a
 /// zero-timeout POLLIN poll. The idle reaper calls this before killing a
 /// connection that crossed idle_timeout: bytes that arrived after poll(2)
