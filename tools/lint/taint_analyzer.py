@@ -78,9 +78,9 @@ SCAN_DIRS = [
     "include/ppds/core",
     "include/ppds/net",
     "include/ppds/server",
-    # SIMD field backend: the packed-lane kernels (field/m61xn.hpp) carry
-    # secret residues through branch-free select/cmp masks — scan them so a
-    # future secret-dependent branch in a lane op cannot slip in unseen.
+    # SIMD field backend: the fused packed-lane kernels (field/m61xn.hpp)
+    # carry secret residues — scan them so a future secret-dependent branch
+    # in a kernel cannot slip in unseen.
     "include/ppds/field",
     "include/ppds/math",
 ]
