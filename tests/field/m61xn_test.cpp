@@ -12,7 +12,9 @@
 #include "ppds/field/m61.hpp"
 
 // The lane backend's contract is bit-identity with scalar M61: every kernel
-// must return exactly the residues the scalar chain would. These tests sweep
+// must return exactly the residues the scalar chain would. Results are read
+// through the raw words (.v), not lane(), which would re-reduce them and
+// hide a non-canonical output. These tests sweep
 // the fold boundaries (0, 1, p-1, p, 2^61-1, 2^64-1) and seeded random
 // inputs through whichever kernel simd_caps() dispatched to; the CI
 // forced-scalar leg reruns the same suite with PPDS_FORCE_SCALAR=1 so the
@@ -108,7 +110,7 @@ TEST(M61x8, ReduceMatchesScalarConstructorOnBoundaries) {
     M61x8 folded;
     reduce8_strided(records_of(raw).data(), 8, 1, &folded);
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      EXPECT_EQ(folded.lane(i), M61(raw[i])) << "lane " << i;
+      EXPECT_EQ(folded.v[i], M61(raw[i]).value()) << "lane " << i;
     }
   }
 }
@@ -121,7 +123,7 @@ TEST(M61x8, ReduceMatchesScalarConstructorRandom) {
     M61x8 folded;
     reduce8_strided(records_of(raw).data(), 8, 1, &folded);
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      ASSERT_EQ(folded.lane(i), M61(raw[i])) << "lane " << i;
+      ASSERT_EQ(folded.v[i], M61(raw[i]).value()) << "lane " << i;
     }
   }
 }
@@ -146,10 +148,11 @@ TEST(M61x8, AddSubMulMatchScalarOnBoundaries) {
       const M61x8 a = lanes_of(elems, i), b = lanes_of(elems, j);
       const M61x8 s = add(a, b);
       for (std::size_t l = 0; l < kM61Lanes; ++l) {
-        ASSERT_EQ(s.lane(l), elems[i + l] + elems[j + l]) << "add lane " << l;
+        ASSERT_EQ(s.v[l], (elems[i + l] + elems[j + l]).value())
+            << "add lane " << l;
         const std::array<M61, 2> c = {M61(0), elems[j + l]};
-        ASSERT_EQ(horner8(c.data(), c.size(), a).lane(l),
-                  elems[i + l] * elems[j + l])
+        ASSERT_EQ(horner8(c.data(), c.size(), a).v[l],
+                  (elems[i + l] * elems[j + l]).value())
             << "mul lane " << l;
       }
     }
@@ -166,7 +169,7 @@ TEST(M61x8, AddMatchesScalarRandom) {
     }
     const M61x8 r = add(M61x8::load(xs.data()), M61x8::load(ys.data()));
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      ASSERT_EQ(r.lane(i), xs[i] + ys[i]) << "lane " << i;
+      ASSERT_EQ(r.v[i], (xs[i] + ys[i]).value()) << "lane " << i;
     }
   }
 }
@@ -212,7 +215,7 @@ TEST(M61Kernels, Horner8MatchesScalarChain) {
       for (std::size_t l = 0; l < kM61Lanes; ++l) {
         M61 acc = c[n - 1];
         for (std::size_t i = n - 1; i-- > 0;) acc = acc * x.lane(l) + c[i];
-        ASSERT_EQ(got.lane(l), acc) << "n=" << n << " lane " << l;
+        ASSERT_EQ(got.v[l], acc.value()) << "n=" << n << " lane " << l;
       }
     }
   }
@@ -244,7 +247,7 @@ TEST(M61Kernels, Dot8ReduceStridedMatchesDenseChain) {
       for (std::size_t i = 0; i < n; ++i) {
         acc = acc + w[i] * M61(dense[i * kM61Lanes + l]);
       }
-      ASSERT_EQ(got.lane(l), acc) << "lane " << l;
+      ASSERT_EQ(got.v[l], acc.value()) << "lane " << l;
     }
   }
 }
@@ -262,7 +265,7 @@ TEST(M61Kernels, Reduce8StridedFoldsEveryWord) {
       for (std::size_t l = 0; l < kM61Lanes; ++l) {
         std::uint64_t word = 0;
         std::memcpy(&word, buf.data() + l * stride + 8 * j, 8);
-        ASSERT_EQ(out[j].lane(l), M61(word)) << "j=" << j << " lane " << l;
+        ASSERT_EQ(out[j].v[l], M61(word).value()) << "j=" << j << " lane " << l;
       }
     }
   }
@@ -389,7 +392,7 @@ TEST(M61Kernels, Dot8NodesCanonicalOverRelaxedWork) {
                          ? c[t]
                          : c[t] * canonical(work[node[t]]).lane(l));
       }
-      ASSERT_EQ(got.lane(l), acc) << "lane " << l;
+      ASSERT_EQ(got.v[l], acc.value()) << "lane " << l;
     }
   }
 }
