@@ -71,8 +71,8 @@ enum class TransportKind {
 };
 
 /// Transport configuration of the per-session channels a pool creates:
-/// queue bounds, a receive deadline, optional
-/// deterministic fault injection (chaos tests), and the retry policy.
+/// queue bounds, a receive deadline, optional deterministic fault injection
+/// (chaos tests), and the retry policy.
 struct TransportOptions {
   /// kSocketPair moves every frame through the kernel instead of the
   /// in-process queues — same framing, same validation, same fault-decision
@@ -114,9 +114,9 @@ class SessionPool {
       std::size_t chunk_size = 8);
 
   /// As above, over explicitly configured transport: bounded channels,
-  /// receive deadlines, deterministic fault injection, and
-  /// whole-session retry (see TransportOptions). With the default options
-  /// this is identical to the plain overload.
+  /// receive deadlines, deterministic fault injection, and whole-session
+  /// retry (see TransportOptions). With the default options this is
+  /// identical to the plain overload.
   std::vector<int> classify_batch(
       const std::vector<std::vector<double>>& samples, std::uint64_t seed,
       std::size_t chunk_size, const TransportOptions& transport);

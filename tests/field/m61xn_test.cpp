@@ -14,11 +14,10 @@
 // The lane backend's contract is bit-identity with scalar M61: every kernel
 // must return exactly the residues the scalar chain would. Results are read
 // through the raw words (.v), not lane(), which would re-reduce them and
-// hide a non-canonical output. These tests sweep
-// the fold boundaries (0, 1, p-1, p, 2^61-1, 2^64-1) and seeded random
-// inputs through whichever kernel simd_caps() dispatched to; the CI
-// forced-scalar leg reruns the same suite with PPDS_FORCE_SCALAR=1 so the
-// portable path gets the identical sweep.
+// hide a non-canonical output. These tests sweep the fold boundaries (0, 1,
+// p-1, p, 2^61-1, 2^64-1) and seeded random inputs through whichever kernel
+// simd_caps() dispatched to; the CI forced-scalar leg reruns the same suite
+// with PPDS_FORCE_SCALAR=1 so the portable path gets the identical sweep.
 
 namespace ppds::field {
 namespace {
