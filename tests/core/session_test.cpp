@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "ppds/common/hex.hpp"
 #include "ppds/net/party.hpp"
 
 namespace ppds::core {
@@ -61,6 +64,26 @@ TEST(ProtocolDigest, SilentPrecomputeIsHashed) {
   tuned.reservoir = true;
   EXPECT_EQ(similarity_digest(svm::Kernel::linear(), space, silent),
             similarity_digest(svm::Kernel::linear(), space, tuned));
+}
+
+TEST(ProtocolDigest, GoldenHexForServedScenarios) {
+  // The public parameters Scenario::make derives for diabetes (8 features)
+  // under `diabetes:linear:silent` and `diabetes:poly:secure`. A changed
+  // hex means a changed handshake: every deployed peer would be denied.
+  const auto linear = ClassificationProfile::make(8, svm::Kernel::linear());
+  const svm::Kernel poly_kernel = svm::Kernel::paper_polynomial(8);
+  const auto poly = ClassificationProfile::make(8, poly_kernel);
+  const DataSpace space;
+  EXPECT_EQ(to_hex(protocol_digest(linear, SchemeConfig::silent())),
+            "3bff482db5e6ab46784342b70b8b937a0193f02475dc768488dfeb7380558963");
+  EXPECT_EQ(to_hex(protocol_digest(poly, SchemeConfig::secure_default())),
+            "8d756deb36f5f2b28f9754c692cab467f3c7feaf1cdfb96785ccb95d3b76ba48");
+  EXPECT_EQ(to_hex(similarity_digest(svm::Kernel::linear(), space,
+                                     SchemeConfig::silent())),
+            "91905f8eb12e114fdaf9af6432a108fd2318859a27de79dd4d586a7d13321ed4");
+  EXPECT_EQ(to_hex(similarity_digest(poly_kernel, space,
+                                     SchemeConfig::secure_default())),
+            "c246e620fdf9443f3d96e0f2578ea76a3705b1af1ac06a74cd3d2dca3cea7bde");
 }
 
 TEST(Session, AgreedParametersClassifyEndToEnd) {
@@ -185,6 +208,49 @@ TEST(SimilaritySession, AgreedParametersEvaluate) {
       });
   EXPECT_NEAR(outcome.b, ordinary_similarity(a, b, space),
               1e-6 + 1e-3 * outcome.b);
+}
+
+/// Runs one in-process similarity session with payload transcripts on and
+/// returns "<server sent>/<client sent>" as hex (each side's recv digest is
+/// the other's sent digest).
+std::string similarity_transcript(const SchemeConfig& cfg) {
+  const DataSpace space;
+  const svm::SvmModel a(svm::Kernel::linear(), {{1.0, 0.2}}, {1.0}, 0.1);
+  const svm::SvmModel b(svm::Kernel::linear(), {{0.8, 0.5}}, {1.0}, -0.2);
+  const SimilarityServer server(a, space, cfg);
+  const SimilarityClient client(b, space, cfg);
+  auto outcome = net::run_two_party(
+      [&](net::Endpoint& ch) {
+        ch.enable_transcript(true);
+        Rng rng(31);
+        serve_similarity_session(server, svm::Kernel::linear(), space, cfg,
+                                 ch, rng);
+        return ch.sent_transcript();
+      },
+      [&](net::Endpoint& ch) {
+        ch.enable_transcript(true);
+        Rng rng(32);
+        const double t = evaluate_similarity_session(
+            client, svm::Kernel::linear(), space, cfg, ch, rng);
+        EXPECT_NEAR(t, ordinary_similarity(a, b, space), 1e-6 + 1e-3 * t);
+        return ch.sent_transcript();
+      });
+  char out[40];
+  std::snprintf(out, sizeof(out), "%016llx/%016llx",
+                static_cast<unsigned long long>(outcome.a),
+                static_cast<unsigned long long>(outcome.b));
+  return out;
+}
+
+TEST(SimilaritySession, TranscriptPinnedOnPrecomputedAndSilent) {
+  // Golden payload digests of a whole similarity session (handshake, the
+  // offline OT phase, the norms, two stage-1 rounds and the degree-4 stage
+  // 2) on the DH-batch and the silent offline phase. A changed value means
+  // the similarity wire bytes changed.
+  SchemeConfig precomputed = SchemeConfig::fast_simulation();
+  precomputed.ot_engine = OtEngine::kPrecomputed;
+  EXPECT_EQ(similarity_transcript(precomputed), "1aab6cd8f173737a/5aed21d0ce5825bd");
+  EXPECT_EQ(similarity_transcript(SchemeConfig::silent()), "90386a04c914373f/c8bb75a467478175");
 }
 
 TEST(SimilaritySession, DataSpaceMismatchDenied) {
