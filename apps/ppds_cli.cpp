@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "ppds/crypto/reservoir.hpp"
 #include "ppds/net/socket.hpp"
 #include "ppds/server/client.hpp"
 #include "ppds/server/daemon_set.hpp"
@@ -249,18 +248,11 @@ int main(int argc, char** argv) {
     channel->set_recv_deadline(net::Deadline::after(recv_timeout));
 
     // Silent scenarios: one OtBundle for the whole connection, so the
-    // one-round seed agreement runs once and every classify command after
-    // the first draws from the persistent pad ledger. A local reservoir
-    // (when asked for) refills that ledger between commands.
-    std::unique_ptr<crypto::PadReservoir> refill_service;
-    std::unique_ptr<core::OtBundle> ot;
-    if (scenario.config.silent_precompute) {
-      ot = std::make_unique<core::OtBundle>(scenario.config, rng);
-      if (scenario.config.reservoir) {
-        refill_service = std::make_unique<crypto::PadReservoir>(1);
-        ot->attach_reservoir(*refill_service);
-      }
-    }
+    // seed agreement runs once and every classify command after the first
+    // draws from the persistent pad ledger (refilled between commands by
+    // the bundle's own reservoir with `:reservoir`).
+    const std::unique_ptr<core::OtBundle> ot =
+        core::OtBundle::for_connection(scenario.config, rng);
 
     for (const Command& cmd : commands) {
       if (cmd.kind == "classify") {

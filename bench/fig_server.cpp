@@ -22,14 +22,12 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "ppds/common/stopwatch.hpp"
 #include "ppds/core/session.hpp"
-#include "ppds/crypto/reservoir.hpp"
 #include "ppds/net/control.hpp"
 #include "ppds/net/socket.hpp"
 #include "ppds/server/client.hpp"
@@ -75,19 +73,11 @@ Row measure(const server::Daemon& daemon, const server::Scenario& scenario,
         channel->set_recv_deadline(
             net::Deadline::after(std::chrono::milliseconds{120000}));
         Rng rng(1000 + c);
-        // Silent scenarios keep one OtBundle per CONNECTION on both ends
-        // (the daemon does the same): the seed agreement runs once and
-        // later sessions reuse the PPRF ledger. With the reservoir knob on,
-        // the client mirrors the daemon's background refill thread.
-        std::optional<crypto::PadReservoir> reservoir;
-        std::unique_ptr<core::OtBundle> ot;
-        if (scenario.config.silent_precompute) {
-          ot = std::make_unique<core::OtBundle>(scenario.config, rng);
-          if (scenario.config.reservoir) {
-            reservoir.emplace(1);
-            ot->attach_reservoir(*reservoir);
-          }
-        }
+        // The daemon's connection rule on the client end: silent
+        // scenarios keep one OtBundle per connection (with its own refill
+        // thread under `:reservoir`).
+        const std::unique_ptr<core::OtBundle> ot =
+            core::OtBundle::for_connection(scenario.config, rng);
         const std::vector<std::vector<double>> sample = {
             scenario.queries[c % scenario.queries.size()]};
         latencies[c].reserve(sessions_per_conn);

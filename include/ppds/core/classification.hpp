@@ -36,8 +36,8 @@ struct ClassificationProfile {
   std::vector<math::Exponents> monomials;
   /// Evaluation DAG over `monomials` (built once in make()): tau_j =
   /// tau_parent(j) * t_var(j), so the client transform costs one multiply
-  /// per monomial instead of a per-monomial power walk. Bitwise-identical
-  /// to math::monomial_transform (same ascending-variable product order).
+  /// per monomial instead of a per-monomial power walk, with the same
+  /// ascending-variable product order, so bitwise-identical to that walk.
   math::MonomialDag monomial_dag;
 
   /// Builds the profile both parties agree on. \p taylor_order is the
@@ -60,9 +60,10 @@ struct ClassificationProfile {
 /// Alice: serves private classification queries from her model.
 class ClassificationServer {
  public:
-  /// \p model must use the same kernel the profile was built from.
-  ClassificationServer(svm::SvmModel model, ClassificationProfile profile,
-                       SchemeConfig config);
+  /// \p model must use the same kernel the profile was built from. Only
+  /// its expansion into the profile's basis is kept.
+  ClassificationServer(const svm::SvmModel& model,
+                       ClassificationProfile profile, SchemeConfig config);
 
   /// Serves \p count queries over the channel. \p external, when given, is
   /// a caller-owned OtBundle reused across sessions (persistent silent-OT
@@ -72,7 +73,6 @@ class ClassificationServer {
              OtBundle* external = nullptr) const;
 
  private:
-  PPDS_SECRET svm::SvmModel model_;
   ClassificationProfile profile_;
   SchemeConfig config_;
   /// Monomial-basis kernels (polynomial) expand to a LINEAR function of the

@@ -72,18 +72,45 @@ struct OtDemand {
   std::size_t count = 0;
 };
 
-/// Per-party OT engine bundle. Naor-Pinkas-based engines run over the
-/// process-wide shared_group() so the fixed-base generator table is built
-/// once and stays warm across sessions.
+/// Which side of the transfers a protocol role plays.
+enum class OtRole { kSender, kReceiver };
+
+/// The one owner of a party's OT state. A bundle builds only the engine of
+/// the role it is used as (sender() or receiver(), on first call), so a
+/// server's bundle never holds, attaches or aborts a receiver it has no use
+/// for. Naor-Pinkas-based engines run over the process-wide shared_group(),
+/// so the fixed-base generator table is built once and stays warm across
+/// sessions.
 ///
-/// For OtEngine::kPrecomputed the engines are ready immediately and refill
-/// their slot pools on demand; calling prepare_sender() on the sender side
-/// while the receiver concurrently calls prepare_receiver() (same demand,
-/// see ot_demand_per_query()) front-loads a whole session's offline phase
-/// into one batched round trip per distinct slot arity.
+/// For OtEngine::kPrecomputed the engines refill their slot pools on
+/// demand; calling prepare_sender() on the sender side while the receiver
+/// concurrently calls prepare_receiver() (same demand, see
+/// ot_demand_per_query()) front-loads a whole session's offline phase into
+/// one batched round trip per distinct slot arity.
+///
+/// Scope: a session builds its own bundle (run_ot_session()) unless the
+/// caller lends one; for_connection() decides which connections keep one.
 class OtBundle {
  public:
+  /// \p rng must outlive the bundle: the engines draw from it whenever they
+  /// run (seed agreements, refills, transfers).
   OtBundle(const SchemeConfig& cfg, Rng& rng);
+  ~OtBundle();
+
+  OtBundle(const OtBundle&) = delete;
+  OtBundle& operator=(const OtBundle&) = delete;
+
+  /// The connection-scope rule, for every keep-alive client and server:
+  /// silent configs keep one bundle per connection, so the base-OT seed
+  /// agreement runs on the connection's first session and later sessions
+  /// draw from the persistent pad ledger; every other config returns
+  /// nullptr and its sessions build their own bundles. The bundle attaches
+  /// to \p shared when given, else to a one-worker PadReservoir it owns
+  /// when cfg.reservoir is set. Nothing is built until first use, so a
+  /// server can call this at accept. \p rng as in the constructor.
+  static std::unique_ptr<OtBundle> for_connection(
+      const SchemeConfig& cfg, Rng& rng,
+      crypto::PadReservoir* shared = nullptr);
 
   /// Offline phase (no-op unless engine == kPrecomputed): reserves every
   /// (arity, count) block, merging duplicate arities, with \p repeat scaling
@@ -97,25 +124,61 @@ class OtBundle {
                         std::size_t repeat = 1);
 
   /// Fails the bundle closed after a mid-protocol error: wipes and poisons
-  /// any precomputed OT slot pools (see BatchedOtSender::abort — a half-
-  /// consumed batch must never be resumed). Safe to call for every engine;
-  /// the stateless engines have nothing to discard.
+  /// the precomputed OT slot pools of every engine built so far (see
+  /// BatchedOtSender::abort — a half-consumed batch must never be resumed).
+  /// Safe to call for every engine; the stateless engines have nothing to
+  /// discard.
   void abort() noexcept;
 
-  /// Hooks both silent engines (if cfg.silent_precompute) to a background
-  /// refill reservoir. The destructor detaches; no-op otherwise.
+  /// Hooks the silent engine of every role, built now or later (if
+  /// cfg.silent_precompute), to a background refill reservoir that must
+  /// outlive the bundle. The engines detach when destroyed.
   void attach_reservoir(crypto::PadReservoir& reservoir);
 
   crypto::OtSender& sender();
   crypto::OtReceiver& receiver();
 
  private:
+  SchemeConfig cfg_;
+  Rng& rng_;
+  /// Set by for_connection() only; declared before the engines so it stops
+  /// after they have detached.
+  std::unique_ptr<crypto::PadReservoir> owned_reservoir_;
+  crypto::PadReservoir* reservoir_ = nullptr;
   std::unique_ptr<crypto::OtSender> sender_;
   std::unique_ptr<crypto::OtReceiver> receiver_;
   /// Non-owning views into sender_/receiver_ when engine == kPrecomputed.
   crypto::BatchedOtSender* batched_sender_ = nullptr;
   crypto::BatchedOtReceiver* batched_receiver_ = nullptr;
 };
+
+/// The fail-closed OT lifecycle of one protocol session, shared by every
+/// role: borrows \p external (a connection's bundle) or builds a bundle for
+/// this session, enters Stage::kOtSetup, reserves \p demands x \p repeat
+/// for \p role, and runs \p body(bundle). Any throw aborts the bundle
+/// before it propagates: the two sides may disagree on how much correlated
+/// randomness was consumed, so none of it may be resumed.
+template <typename Body>
+decltype(auto) run_ot_session(const SchemeConfig& cfg, OtRole role,
+                              net::Endpoint& channel, Rng& rng,
+                              OtBundle* external,
+                              std::span<const OtDemand> demands,
+                              std::size_t repeat, Body&& body) {
+  std::optional<OtBundle> local;
+  OtBundle& ot = external != nullptr ? *external : local.emplace(cfg, rng);
+  channel.set_stage(net::Stage::kOtSetup);
+  try {
+    if (role == OtRole::kSender) {
+      ot.prepare_sender(channel, demands, repeat);
+    } else {
+      ot.prepare_receiver(channel, demands, repeat);
+    }
+    return body(ot);
+  } catch (...) {
+    ot.abort();
+    throw;
+  }
+}
 
 /// Demand one OMPE evaluation places on the precomputed-OT pools: m direct
 /// 1-of-M slots when M fits the direct bound (one offline exponentiation

@@ -96,26 +96,47 @@ double ordinary_similarity_kernel(const svm::SvmModel& a,
 
 /// --- Private two-party protocol --------------------------------------------
 
+/// What each similarity role derives from its own model: the scheme config
+/// with the real backend forced (the degree-4 stage-2 polynomial exceeds
+/// the fixed-point headroom of the exact backend, DESIGN.md §5), and the
+/// direction w and bounded centroid its stage-1 rounds compare (for
+/// polynomial kernels, the aggregate direction sum_s c_s x_s and the
+/// centroid of the kernel decision surface).
+struct SimilarityGeometry {
+  SchemeConfig config;
+  svm::Kernel kernel;
+  bool kernelized = false;
+  math::Vec w;
+  math::Vec centroid;
+
+  SimilarityGeometry(const svm::SvmModel& model, const DataSpace& space,
+                     SchemeConfig scheme);
+
+  /// Degree of the two stage-1 rounds: 1, or the kernel degree.
+  unsigned stage1_degree() const { return kernelized ? kernel.degree : 1; }
+
+  /// K(v, v) for polynomial kernels, ||v||^2 for the linear one.
+  double self_product(const math::Vec& v) const;
+
+  /// OT demand of one evaluation: two stage-1 rounds plus the degree-4
+  /// stage-2 round.
+  std::vector<OtDemand> ot_demand() const;
+};
+
 /// Alice's side of one similarity evaluation. Learns only ||mB||^2, ||wB||^2.
 class SimilarityServer {
  public:
   SimilarityServer(const svm::SvmModel& model, DataSpace space,
                    SchemeConfig config);
 
-  /// Serves one evaluation over the channel.
+  /// Serves one evaluation over the channel, on a bundle of its own.
   void serve(net::Endpoint& channel, Rng& rng) const;
 
-  const math::Vec& centroid() const { return centroid_; }
+  const math::Vec& centroid() const { return geometry_.centroid; }
 
  private:
   DataSpace space_;
-  SchemeConfig config_;
-  svm::Kernel kernel_;
-  math::Vec w_;         ///< linear weights (linear kernel path)
-  double bias_ = 0.0;
-  math::Vec centroid_;
-  bool kernelized_ = false;
-  svm::SvmModel model_; ///< kept for the kernel path
+  SimilarityGeometry geometry_;
 };
 
 /// Bob's side; learns T.
@@ -124,17 +145,12 @@ class SimilarityClient {
   SimilarityClient(const svm::SvmModel& model, DataSpace space,
                    SchemeConfig config);
 
-  /// Runs one evaluation; returns the similarity value T (smaller = more
-  /// similar).
+  /// Runs one evaluation on a bundle of its own; returns the similarity
+  /// value T (smaller = more similar).
   double evaluate(net::Endpoint& channel, Rng& rng) const;
 
  private:
-  DataSpace space_;
-  SchemeConfig config_;
-  svm::Kernel kernel_;
-  math::Vec w_;
-  math::Vec centroid_;
-  bool kernelized_ = false;
+  SimilarityGeometry geometry_;
   double w_norm2_ = 0.0;  ///< ||wB||^2 resp. K(wB, wB)
   double m_norm2_ = 0.0;  ///< ||mB||^2 resp. K(mB, mB)
 };

@@ -1,7 +1,6 @@
 #include "ppds/core/classification.hpp"
 
 #include <cmath>
-#include <optional>
 
 #include "ppds/common/ct.hpp"
 #include "ppds/common/secret_taint.hpp"
@@ -274,61 +273,53 @@ LinearExpansion expand_decision_coefficients(
   return out;
 }
 
-ClassificationServer::ClassificationServer(svm::SvmModel model,
+ClassificationServer::ClassificationServer(const svm::SvmModel& model,
                                            ClassificationProfile profile,
                                            SchemeConfig config)
-    : model_(std::move(model)),
-      profile_(std::move(profile)),
-      config_(config) {
+    : profile_(std::move(profile)), config_(config) {
   if (profile_.kernel.type == svm::KernelType::kPolynomial) {
     linear_in_tau_ = true;
-    LinearExpansion expansion = expand_decision_coefficients(model_, profile_);
+    LinearExpansion expansion = expand_decision_coefficients(model, profile_);
     tau_coeffs_ = std::move(expansion.coeffs);
     tau_constant_ = expansion.constant;
   } else {
-    poly_ = expand_decision_function(model_, profile_);
+    poly_ = expand_decision_function(model, profile_);
   }
 }
 
 void ClassificationServer::serve(net::Endpoint& channel, std::size_t count,
                                  Rng& rng, OtBundle* external) const {
-  std::optional<OtBundle> local;
-  OtBundle& ot = external != nullptr ? *external : local.emplace(config_, rng);
-  // Precomputed engine: run the whole batch's offline OT phase up front
+  // Precomputed engine: the whole batch's offline OT phase runs up front
   // (the client's matching batch call does the same).
-  channel.set_stage(net::Stage::kOtSetup);
-  try {
-    const auto demand =
-        ot_demand_per_query(config_.ompe, profile_.declared_degree);
-    ot.prepare_sender(channel, demand, count);
-    for (std::size_t i = 0; i < count; ++i) {
-      // Fresh positive amplifier per query — the Level-2 defense of Fig. 5/6.
-      // The range is deliberately wide (2^-8 .. 2^8): multiplicative positive
-      // noise has a positive mean, so a colluding least-squares fit converges
-      // to the true DIRECTION at a rate set by the noise spread — a heavier
-      // tail buys more collusion resistance (quantified in fig5 and
-      // EXPERIMENTS.md; an observation the paper does not make).
-      const double ra = rng.log_uniform_positive(-8.0, 8.0);
-      if (linear_in_tau_) {
-        PPDS_SECRET std::vector<double> amplified = tau_coeffs_;
-        const ScopedWipe guard(amplified);  // ra-amplified model is secret
-        for (double& c : amplified) c *= ra;
-        ompe::run_sender_linear(channel, amplified, ra * tau_constant_,
-                                config_.ompe, ot.sender(), rng,
-                                profile_.declared_degree);
-      } else {
-        PPDS_SECRET math::MultiPoly amplified = poly_;
-        amplified.scale(ra);
-        ompe::run_sender(channel, amplified, config_.ompe, ot.sender(), rng,
-                         profile_.declared_degree);
-      }
-    }
-  } catch (...) {
-    // Fail closed: a half-consumed precomputed-OT batch must never be
-    // resumed (the two sides may disagree on how much was consumed).
-    ot.abort();
-    throw;
-  }
+  const auto demand =
+      ot_demand_per_query(config_.ompe, profile_.declared_degree);
+  run_ot_session(
+      config_, OtRole::kSender, channel, rng, external, demand, count,
+      [&](OtBundle& ot) {
+        for (std::size_t i = 0; i < count; ++i) {
+          // Fresh positive amplifier per query — the Level-2 defense of
+          // Fig. 5/6. The range is deliberately wide (2^-8 .. 2^8):
+          // multiplicative positive noise has a positive mean, so a
+          // colluding least-squares fit converges to the true DIRECTION at
+          // a rate set by the noise spread — a heavier tail buys more
+          // collusion resistance (quantified in fig5 and EXPERIMENTS.md; an
+          // observation the paper does not make).
+          const double ra = rng.log_uniform_positive(-8.0, 8.0);
+          if (linear_in_tau_) {
+            PPDS_SECRET std::vector<double> amplified = tau_coeffs_;
+            const ScopedWipe guard(amplified);  // ra-amplified model is secret
+            for (double& c : amplified) c *= ra;
+            ompe::run_sender_linear(channel, amplified, ra * tau_constant_,
+                                    config_.ompe, ot.sender(), rng,
+                                    profile_.declared_degree);
+          } else {
+            PPDS_SECRET math::MultiPoly amplified = poly_;
+            amplified.scale(ra);
+            ompe::run_sender(channel, amplified, config_.ompe, ot.sender(),
+                             rng, profile_.declared_degree);
+          }
+        }
+      });
 }
 
 ClassificationClient::ClassificationClient(ClassificationProfile profile,
@@ -356,27 +347,22 @@ int ClassificationClient::classify(net::Endpoint& channel,
 std::vector<double> ClassificationClient::query_values_batch(
     net::Endpoint& channel, const std::vector<std::vector<double>>& samples,
     Rng& rng, OtBundle* external) const {
-  std::optional<OtBundle> local;
-  OtBundle& ot = external != nullptr ? *external : local.emplace(config_, rng);
-  channel.set_stage(net::Stage::kOtSetup);
-  try {
-    const auto demand =
-        ot_demand_per_query(config_.ompe, profile_.declared_degree);
-    ot.prepare_receiver(channel, demand, samples.size());
-    std::vector<double> out;
-    out.reserve(samples.size());
-    // Transform the whole batch up front through the SoA lane sweep
-    // (bit-identical per sample to transform()).
-    for (const auto& tau : profile_.transform_batch(samples)) {
-      out.push_back(ompe::run_receiver(channel, tau, profile_.declared_degree,
-                                       profile_.poly_arity, config_.ompe,
-                                       ot.receiver(), rng));
-    }
-    return out;
-  } catch (...) {
-    ot.abort();
-    throw;
-  }
+  const auto demand =
+      ot_demand_per_query(config_.ompe, profile_.declared_degree);
+  return run_ot_session(
+      config_, OtRole::kReceiver, channel, rng, external, demand,
+      samples.size(), [&](OtBundle& ot) {
+        std::vector<double> out;
+        out.reserve(samples.size());
+        // Transform the whole batch up front through the SoA lane sweep
+        // (bit-identical per sample to transform()).
+        for (const auto& tau : profile_.transform_batch(samples)) {
+          out.push_back(ompe::run_receiver(
+              channel, tau, profile_.declared_degree, profile_.poly_arity,
+              config_.ompe, ot.receiver(), rng));
+        }
+        return out;
+      });
 }
 
 std::vector<int> ClassificationClient::classify_batch(

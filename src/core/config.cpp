@@ -1,39 +1,36 @@
 #include "ppds/core/config.hpp"
 
+#include "ppds/crypto/reservoir.hpp"
+
 namespace ppds::core {
 
-OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng) {
-  const crypto::DhGroup* group = nullptr;
-  if (cfg.ot_engine != OtEngine::kLoopback) {
-    group = &crypto::shared_group(cfg.group);
-  }
+namespace {
+
+/// Builds one role's engine for \p cfg. \p batched is pointed at the
+/// precomputed facade (hooked to \p reservoir when given) if there is one.
+template <typename Engine, typename NaorPinkas, typename Batched,
+          typename Loopback>
+std::unique_ptr<Engine> build_engine(const SchemeConfig& cfg, Rng& rng,
+                                     crypto::PadReservoir* reservoir,
+                                     Batched*& batched) {
   switch (cfg.ot_engine) {
     case OtEngine::kNaorPinkas:
-      sender_ = std::make_unique<crypto::NaorPinkasSender>(*group, rng);
-      receiver_ = std::make_unique<crypto::NaorPinkasReceiver>(*group, rng);
-      break;
+      return std::make_unique<NaorPinkas>(crypto::shared_group(cfg.group),
+                                          rng);
     case OtEngine::kPrecomputed: {
-      const crypto::OtOffline offline = cfg.silent_precompute
-                                            ? crypto::OtOffline::kSilent
-                                            : crypto::OtOffline::kDhBatch;
-      auto sender =
-          std::make_unique<crypto::BatchedOtSender>(*group, rng, offline);
-      auto receiver =
-          std::make_unique<crypto::BatchedOtReceiver>(*group, rng, offline);
-      batched_sender_ = sender.get();
-      batched_receiver_ = receiver.get();
-      sender_ = std::move(sender);
-      receiver_ = std::move(receiver);
-      break;
+      auto engine = std::make_unique<Batched>(
+          crypto::shared_group(cfg.group), rng,
+          cfg.silent_precompute ? crypto::OtOffline::kSilent
+                                : crypto::OtOffline::kDhBatch);
+      if (reservoir != nullptr) engine->attach_reservoir(*reservoir);
+      batched = engine.get();
+      return engine;
     }
     case OtEngine::kLoopback:
-      sender_ = std::make_unique<crypto::LoopbackSender>();
-      receiver_ = std::make_unique<crypto::LoopbackReceiver>();
-      break;
+      return std::make_unique<Loopback>();
   }
+  throw InvalidArgument("OtBundle: unknown OT engine");
 }
-
-namespace {
 
 /// Merges duplicate arities (reserve() has ensure-at-least semantics, so
 /// two blocks of the same arity must be summed before reserving) and scales
@@ -59,9 +56,26 @@ std::vector<OtDemand> merge_demands(std::span<const OtDemand> demands,
 
 }  // namespace
 
+OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng) : cfg_(cfg), rng_(rng) {}
+
+OtBundle::~OtBundle() = default;
+
+std::unique_ptr<OtBundle> OtBundle::for_connection(
+    const SchemeConfig& cfg, Rng& rng, crypto::PadReservoir* shared) {
+  if (!cfg.silent_precompute) return nullptr;
+  auto bundle = std::make_unique<OtBundle>(cfg, rng);
+  if (shared == nullptr && cfg.reservoir) {
+    bundle->owned_reservoir_ = std::make_unique<crypto::PadReservoir>(1);
+    shared = bundle->owned_reservoir_.get();
+  }
+  if (shared != nullptr) bundle->attach_reservoir(*shared);
+  return bundle;
+}
+
 void OtBundle::prepare_sender(net::Endpoint& channel,
                               std::span<const OtDemand> demands,
                               std::size_t repeat) {
+  sender();
   if (batched_sender_ == nullptr) return;
   for (const OtDemand& d : merge_demands(demands, repeat)) {
     batched_sender_->reserve(channel, d.arity, d.count);
@@ -71,6 +85,7 @@ void OtBundle::prepare_sender(net::Endpoint& channel,
 void OtBundle::prepare_receiver(net::Endpoint& channel,
                                 std::span<const OtDemand> demands,
                                 std::size_t repeat) {
+  receiver();
   if (batched_receiver_ == nullptr) return;
   for (const OtDemand& d : merge_demands(demands, repeat)) {
     batched_receiver_->reserve(channel, d.arity, d.count);
@@ -83,6 +98,7 @@ void OtBundle::abort() noexcept {
 }
 
 void OtBundle::attach_reservoir(crypto::PadReservoir& reservoir) {
+  reservoir_ = &reservoir;
   if (batched_sender_ != nullptr) batched_sender_->attach_reservoir(reservoir);
   if (batched_receiver_ != nullptr) {
     batched_receiver_->attach_reservoir(reservoir);
@@ -90,12 +106,21 @@ void OtBundle::attach_reservoir(crypto::PadReservoir& reservoir) {
 }
 
 crypto::OtSender& OtBundle::sender() {
-  detail::require(sender_ != nullptr, "OtBundle: no sender engine");
+  if (sender_ == nullptr) {
+    sender_ = build_engine<crypto::OtSender, crypto::NaorPinkasSender,
+                           crypto::BatchedOtSender, crypto::LoopbackSender>(
+        cfg_, rng_, reservoir_, batched_sender_);
+  }
   return *sender_;
 }
 
 crypto::OtReceiver& OtBundle::receiver() {
-  detail::require(receiver_ != nullptr, "OtBundle: no receiver engine");
+  if (receiver_ == nullptr) {
+    receiver_ =
+        build_engine<crypto::OtReceiver, crypto::NaorPinkasReceiver,
+                     crypto::BatchedOtReceiver, crypto::LoopbackReceiver>(
+            cfg_, rng_, reservoir_, batched_receiver_);
+  }
   return *receiver_;
 }
 

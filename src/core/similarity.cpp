@@ -189,157 +189,127 @@ double ordinary_similarity_kernel(const svm::SvmModel& a,
   return std::sqrt(triangle_metric_squared(kmm, std::fmin(cos2, 1.0), space));
 }
 
-SimilarityServer::SimilarityServer(const svm::SvmModel& model, DataSpace space,
-                                   SchemeConfig config)
-    : space_(space), config_(config), kernel_(model.kernel()), model_(model) {
-  // The degree-4 stage-2 polynomial exceeds the fixed-point headroom of the
-  // exact backend; similarity always runs the real backend (DESIGN.md §5).
-  config_.ompe.backend = ompe::Backend::kReal;
-  kernelized_ = kernel_.type != svm::KernelType::kLinear;
-  detail::require(!kernelized_ || kernel_.type == svm::KernelType::kPolynomial,
-                  "SimilarityServer: kernel path supports polynomial kernels");
-  if (kernelized_) {
-    w_ = aggregate_direction(model);
-    const auto c = bounded_centroid(kernel_boundary_points(model, space_));
-    detail::require(c.has_value(),
-                    "SimilarityServer: surface misses the data space");
-    centroid_ = *c;
+SimilarityGeometry::SimilarityGeometry(const svm::SvmModel& model,
+                                       const DataSpace& space,
+                                       SchemeConfig scheme)
+    : config(scheme), kernel(model.kernel()) {
+  config.ompe.backend = ompe::Backend::kReal;
+  kernelized = kernel.type != svm::KernelType::kLinear;
+  detail::require(!kernelized || kernel.type == svm::KernelType::kPolynomial,
+                  "similarity: kernel path supports polynomial kernels");
+  std::optional<math::Vec> c;
+  if (kernelized) {
+    w = aggregate_direction(model);
+    c = bounded_centroid(kernel_boundary_points(model, space));
   } else {
-    w_ = model.linear_weights();
-    bias_ = model.bias();
-    const auto c =
-        bounded_centroid(linear_boundary_points(w_, bias_, space_));
-    detail::require(c.has_value(),
-                    "SimilarityServer: plane misses the data space");
-    centroid_ = *c;
+    w = model.linear_weights();
+    c = bounded_centroid(linear_boundary_points(w, model.bias(), space));
   }
+  detail::require(c.has_value(),
+                  "similarity: decision surface misses the data space");
+  centroid = std::move(*c);
 }
 
+double SimilarityGeometry::self_product(const math::Vec& v) const {
+  return kernel_self(kernel, v);
+}
+
+std::vector<OtDemand> SimilarityGeometry::ot_demand() const {
+  std::vector<OtDemand> demands =
+      ot_demand_per_query(config.ompe, stage1_degree());
+  for (OtDemand& d : demands) d.count *= 2;
+  const auto stage2 = ot_demand_per_query(config.ompe, 4);
+  demands.insert(demands.end(), stage2.begin(), stage2.end());
+  return demands;
+}
+
+SimilarityServer::SimilarityServer(const svm::SvmModel& model, DataSpace space,
+                                   SchemeConfig config)
+    : space_(space), geometry_(model, space_, config) {}
+
 void SimilarityServer::serve(net::Endpoint& channel, Rng& rng) const {
-  OtBundle ot(config_, rng);
-  // One evaluation = two stage-1 OMPE rounds + the degree-4 stage-2 round.
-  const unsigned stage1_degree =
-      kernelized_ ? kernel_.degree : 1;
-  channel.set_stage(net::Stage::kOtSetup);
-  try {
-    std::vector<OtDemand> demands =
-        ot_demand_per_query(config_.ompe, stage1_degree);
-    for (OtDemand& d : demands) d.count *= 2;
-    const auto stage2 = ot_demand_per_query(config_.ompe, 4);
-    demands.insert(demands.end(), stage2.begin(), stage2.end());
-    ot.prepare_sender(channel, demands);
+  const SimilarityGeometry& g = geometry_;
+  run_ot_session(
+      g.config, OtRole::kSender, channel, rng, nullptr, g.ot_demand(), 1,
+      [&](OtBundle& ot) {
+        // Step 0: Bob's vector moduli.
+        channel.set_stage(net::Stage::kNorms);
+        const Bytes norms = channel.recv();
+        ByteReader r(norms);
+        const double m_norm2_b = r.f64();
+        const double w_norm2_b = r.f64();
+        r.expect_end();
+        detail::require(w_norm2_b > 0.0,
+                        "similarity: degenerate peer weights");
 
-    // Step 0: Bob's vector moduli.
-    channel.set_stage(net::Stage::kNorms);
-    const Bytes norms = channel.recv();
-    ByteReader r(norms);
-    const double m_norm2_b = r.f64();
-    const double w_norm2_b = r.f64();
-    r.expect_end();
-    detail::require(w_norm2_b > 0.0, "similarity: degenerate peer weights");
+        const double ram = rng.log_uniform_positive(-2.0, 2.0);
+        const double raw = rng.log_uniform_positive(-2.0, 2.0);
+        const double rb = rng.uniform_nonzero(-4.0, 4.0, 0.25);
 
-    const double ram = rng.log_uniform_positive(-2.0, 2.0);
-    const double raw = rng.log_uniform_positive(-2.0, 2.0);
-    const double rb = rng.uniform_nonzero(-4.0, 4.0, 0.25);
+        // Stage 1a: x1 = ram * (mA . mB)   (kernelized: ram * K(mA, mB)).
+        // Stage 1b: x2 = raw * (wA . wB) + rb.
+        if (g.kernelized) {
+          ompe::run_sender(channel,
+                           kernel_stage1_poly(g.centroid, g.kernel, ram, 0.0),
+                           g.config.ompe, ot.sender(), rng);
+          ompe::run_sender(channel, kernel_stage1_poly(g.w, g.kernel, raw, rb),
+                           g.config.ompe, ot.sender(), rng);
+        } else {
+          math::Vec ma = g.centroid;
+          math::scale(ma, ram);
+          ompe::run_sender(channel, math::MultiPoly::affine(ma, 0.0),
+                           g.config.ompe, ot.sender(), rng);
+          math::Vec wa = g.w;
+          math::scale(wa, raw);
+          ompe::run_sender(channel, math::MultiPoly::affine(wa, rb),
+                           g.config.ompe, ot.sender(), rng);
+        }
 
-    // Stage 1a: x1 = ram * (mA . mB)   (kernelized: ram * K(mA, mB)).
-    // Stage 1b: x2 = raw * (wA . wB) + rb.
-    if (kernelized_) {
-      ompe::run_sender(channel,
-                       kernel_stage1_poly(centroid_, kernel_, ram, 0.0),
-                       config_.ompe, ot.sender(), rng);
-      ompe::run_sender(channel, kernel_stage1_poly(w_, kernel_, raw, rb),
-                       config_.ompe, ot.sender(), rng);
-    } else {
-      math::Vec ma = centroid_;
-      math::scale(ma, ram);
-      ompe::run_sender(channel, math::MultiPoly::affine(ma, 0.0), config_.ompe,
-                       ot.sender(), rng);
-      math::Vec wa = w_;
-      math::scale(wa, raw);
-      ompe::run_sender(channel, math::MultiPoly::affine(wa, rb), config_.ompe,
-                       ot.sender(), rng);
-    }
-
-    // Stage 2: Eq. (7) with Alice's private constants.
-    const double kmm_a = kernelized_ ? kernel_(centroid_, centroid_)
-                                     : math::norm2(centroid_);
-    const double kww_a = kernelized_ ? kernel_(w_, w_) : math::norm2(w_);
-    detail::require(kww_a > 0.0, "similarity: degenerate own weights");
-    const double c1 = kmm_a + m_norm2_b;
-    const double c2 = std::pow(space_.l0, 4.0);
-    const double c3 = 1.0 / (kww_a * w_norm2_b);
-    const double c4 = 1.0 + std::pow(std::sin(space_.theta0), 2.0);
-    const double d1 = 1.0 / ram;
-    const double d2 = 1.0 / raw;
-    const double d3 = -rb;
-    ompe::run_sender(channel, equation7_poly(c1, c2, c3, c4, d1, d2, d3),
-                     config_.ompe, ot.sender(), rng);
-  } catch (...) {
-    ot.abort();
-    throw;
-  }
+        // Stage 2: Eq. (7) with Alice's private constants.
+        const double kmm_a = g.self_product(g.centroid);
+        const double kww_a = g.self_product(g.w);
+        detail::require(kww_a > 0.0, "similarity: degenerate own weights");
+        const double c1 = kmm_a + m_norm2_b;
+        const double c2 = std::pow(space_.l0, 4.0);
+        const double c3 = 1.0 / (kww_a * w_norm2_b);
+        const double c4 = 1.0 + std::pow(std::sin(space_.theta0), 2.0);
+        const double d1 = 1.0 / ram;
+        const double d2 = 1.0 / raw;
+        const double d3 = -rb;
+        ompe::run_sender(channel, equation7_poly(c1, c2, c3, c4, d1, d2, d3),
+                         g.config.ompe, ot.sender(), rng);
+      });
 }
 
 SimilarityClient::SimilarityClient(const svm::SvmModel& model, DataSpace space,
                                    SchemeConfig config)
-    : space_(space), config_(config), kernel_(model.kernel()) {
-  config_.ompe.backend = ompe::Backend::kReal;
-  kernelized_ = kernel_.type != svm::KernelType::kLinear;
-  detail::require(!kernelized_ || kernel_.type == svm::KernelType::kPolynomial,
-                  "SimilarityClient: kernel path supports polynomial kernels");
-  if (kernelized_) {
-    w_ = aggregate_direction(model);
-    const auto c = bounded_centroid(kernel_boundary_points(model, space_));
-    detail::require(c.has_value(),
-                    "SimilarityClient: surface misses the data space");
-    centroid_ = *c;
-  } else {
-    w_ = model.linear_weights();
-    const auto c = bounded_centroid(
-        linear_boundary_points(w_, model.bias(), space_));
-    detail::require(c.has_value(),
-                    "SimilarityClient: plane misses the data space");
-    centroid_ = *c;
-  }
-  m_norm2_ = kernelized_ ? kernel_(centroid_, centroid_) : math::norm2(centroid_);
-  w_norm2_ = kernelized_ ? kernel_(w_, w_) : math::norm2(w_);
-}
+    : geometry_(model, space, config),
+      w_norm2_(geometry_.self_product(geometry_.w)),
+      m_norm2_(geometry_.self_product(geometry_.centroid)) {}
 
 double SimilarityClient::evaluate(net::Endpoint& channel, Rng& rng) const {
-  OtBundle ot(config_, rng);
-  const unsigned prepare_degree =
-      kernelized_ ? kernel_.degree : 1;
-  channel.set_stage(net::Stage::kOtSetup);
-  try {
-    std::vector<OtDemand> demands =
-        ot_demand_per_query(config_.ompe, prepare_degree);
-    for (OtDemand& d : demands) d.count *= 2;
-    const auto stage2 = ot_demand_per_query(config_.ompe, 4);
-    demands.insert(demands.end(), stage2.begin(), stage2.end());
-    ot.prepare_receiver(channel, demands);
+  const SimilarityGeometry& g = geometry_;
+  return run_ot_session(
+      g.config, OtRole::kReceiver, channel, rng, nullptr, g.ot_demand(), 1,
+      [&](OtBundle& ot) {
+        channel.set_stage(net::Stage::kNorms);
+        ByteWriter w;
+        w.f64(m_norm2_);
+        w.f64(w_norm2_);
+        channel.send(w.take());
 
-    channel.set_stage(net::Stage::kNorms);
-    ByteWriter w;
-    w.f64(m_norm2_);
-    w.f64(w_norm2_);
-    channel.send(w.take());
-
-    const unsigned stage1_degree =
-        kernelized_ ? kernel_.degree : 1;
-    const std::size_t n = w_.size();
-    const double x1 = ompe::run_receiver(channel, centroid_, stage1_degree, n,
-                                         config_.ompe, ot.receiver(), rng);
-    const double x2 = ompe::run_receiver(channel, w_, stage1_degree, n,
-                                         config_.ompe, ot.receiver(), rng);
-    const math::Vec stage2_input{x1, x2};
-    const double t2 = ompe::run_receiver(channel, stage2_input, 4, 2,
-                                         config_.ompe, ot.receiver(), rng);
-    return std::sqrt(std::fmax(t2, 0.0));
-  } catch (...) {
-    ot.abort();
-    throw;
-  }
+        const std::size_t n = g.w.size();
+        const double x1 =
+            ompe::run_receiver(channel, g.centroid, g.stage1_degree(), n,
+                               g.config.ompe, ot.receiver(), rng);
+        const double x2 =
+            ompe::run_receiver(channel, g.w, g.stage1_degree(), n,
+                               g.config.ompe, ot.receiver(), rng);
+        const math::Vec stage2_input{x1, x2};
+        const double t2 = ompe::run_receiver(channel, stage2_input, 4, 2,
+                                             g.config.ompe, ot.receiver(), rng);
+        return std::sqrt(std::fmax(t2, 0.0));
+      });
 }
 
 }  // namespace ppds::core

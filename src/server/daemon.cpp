@@ -234,6 +234,8 @@ void Daemon::acceptor_loop() {
     conn->channel = std::move(channel);
     conn->id = next_connection_id_.fetch_add(1);
     conn->rng = Rng(splitmix64(options_.rng_seed, conn->id));
+    conn->ot = core::OtBundle::for_connection(scenario_.config, conn->rng,
+                                              reservoir_.get());
     conn->last_activity = std::chrono::steady_clock::now();
     stats_.live_connections.fetch_add(1);
     park(std::move(conn));
@@ -390,16 +392,6 @@ bool Daemon::run_one_session(Connection& conn) {
     in_session = true;
     switch (service) {
       case Service::kClassification:
-        // Silent scenarios keep one OtBundle per CONNECTION: the base-OT
-        // seed agreement runs once on the first session and later sessions
-        // reuse the expanded PPRF ledger (pre-filled by the reservoir while
-        // the connection was parked). Non-silent scenarios pass nullptr and
-        // keep the historical per-session bundle path.
-        if (scenario_.config.silent_precompute && conn.ot == nullptr) {
-          conn.ot =
-              std::make_unique<core::OtBundle>(scenario_.config, conn.rng);
-          if (reservoir_) conn.ot->attach_reservoir(*reservoir_);
-        }
         core::serve_session(classification_, scenario_.profile,
                             scenario_.config, channel, conn.rng,
                             options_.max_queries, conn.ot.get());

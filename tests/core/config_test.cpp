@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ppds/core/session.hpp"
+#include "ppds/crypto/reservoir.hpp"
 #include "ppds/net/party.hpp"
 
 namespace ppds::core {
@@ -146,6 +148,62 @@ TEST(OtBundle, PreparedPairTransfers) {
       });
   ASSERT_EQ(outcome.b.size(), 1u);
   EXPECT_EQ(outcome.b[0], (Bytes{3, 3}));
+}
+
+TEST(OtBundle, ForConnectionKeepsBundlesForSilentConfigsOnly) {
+  Rng rng(6);
+  EXPECT_EQ(OtBundle::for_connection(SchemeConfig::fast_simulation(), rng),
+            nullptr);
+  SchemeConfig precomputed = SchemeConfig::fast_simulation();
+  precomputed.ot_engine = OtEngine::kPrecomputed;
+  EXPECT_EQ(OtBundle::for_connection(precomputed, rng), nullptr);
+  SchemeConfig silent = SchemeConfig::silent();
+  silent.reservoir = true;  // the bundle owns its refill thread
+  EXPECT_NE(OtBundle::for_connection(silent, rng), nullptr);
+}
+
+TEST(OtBundle, BuildsOneEnginePerRoleItIsUsedAs) {
+  // One served silent session on connection bundles sharing a reservoir:
+  // each bundle builds (and attaches) only the engine of its own role, and
+  // aborting one counts one abort.
+  const svm::SvmModel model(svm::Kernel::linear(), {{0.8, -0.6}}, {1.0}, 0.1);
+  const auto profile = ClassificationProfile::make(2, model.kernel());
+  const SchemeConfig cfg = SchemeConfig::silent();
+  const ClassificationServer server(model, profile, cfg);
+  const ClassificationClient client(profile, cfg);
+  const std::vector<std::vector<double>> samples{{0.5, 0.1}, {-0.4, 0.9}};
+
+  crypto::PadReservoir reservoir(1);
+  Rng server_rng(7);
+  Rng client_rng(8);
+  const auto server_ot = OtBundle::for_connection(cfg, server_rng, &reservoir);
+  const auto client_ot = OtBundle::for_connection(cfg, client_rng, &reservoir);
+  ASSERT_NE(server_ot, nullptr);
+  ASSERT_NE(client_ot, nullptr);
+  EXPECT_EQ(reservoir.attached(), 0u);  // nothing is built before first use
+
+  auto outcome = net::run_two_party(
+      [&](net::Endpoint& ch) {
+        serve_session(server, profile, cfg, ch, server_rng, 1 << 20,
+                      server_ot.get());
+        return 0;
+      },
+      [&](net::Endpoint& ch) {
+        return classify_session(client, profile, cfg, ch, samples, client_rng,
+                                client_ot.get());
+      });
+  ASSERT_EQ(outcome.b.size(), samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(outcome.b[i], model.predict(samples[i]));
+  }
+  EXPECT_EQ(reservoir.attached(), 2u);
+
+  auto& audit = crypto::ot_abort_audit();
+  const std::uint64_t aborts_before = audit.aborts.load();
+  const std::uint64_t wiped_before = audit.wiped.load();
+  server_ot->abort();
+  EXPECT_EQ(audit.aborts.load() - aborts_before, 1u);
+  EXPECT_EQ(audit.wiped.load() - wiped_before, 1u);
 }
 
 }  // namespace

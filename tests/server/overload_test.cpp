@@ -47,6 +47,11 @@ const Scenario& silent_scenario() {
   return s;
 }
 
+const Scenario& silent_plain_scenario() {
+  static const Scenario s = Scenario::make("diabetes:linear:silent", 2029);
+  return s;
+}
+
 DaemonOptions loopback_options() {
   DaemonOptions options;
   options.address = net::SocketAddress::tcp("127.0.0.1", 0);
@@ -573,6 +578,56 @@ TEST(ChaosDaemon, FailoverCompletesWhenAReplicaDiesMidBatch) {
 
   daemon_a.stop();
   EXPECT_TRUE(daemon_a.stats().snapshot().books_balance());
+}
+
+TEST(ChaosDaemon, DaemonSetServesSilentScenariosSoloAndAsFleet) {
+  // A DaemonSet connection on a silent scenario keeps one OtBundle across
+  // its chunks; the Rng that bundle draws from must live as long as the
+  // bundle, and `:reservoir` must reach it. Solo and as a two-replica
+  // fleet, every label must equal the plain model's, every daemon's books
+  // must balance, and every OT abort must have wiped.
+  for (const Scenario* scenario : {&silent_plain_scenario(), &silent_scenario()}) {
+    SCOPED_TRACE(scenario->spec.to_string());
+    ASSERT_TRUE(scenario->config.silent_precompute);
+    constexpr std::size_t kSamples = 16;
+    std::vector<std::vector<double>> samples;
+    samples.reserve(kSamples);
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      samples.push_back(scenario->queries[i % scenario->queries.size()]);
+    }
+    DaemonSetOptions set_options;
+    set_options.chunk_size = 4;
+
+    const auto& audit = crypto::ot_abort_audit();
+    const std::uint64_t aborts_before = audit.aborts.load();
+    const std::uint64_t wiped_before = audit.wiped.load();
+
+    Daemon daemon_a(*scenario, loopback_options());
+    Daemon daemon_b(*scenario, loopback_options());
+    daemon_a.start();
+    daemon_b.start();
+    DaemonSet solo(*scenario, {daemon_a.address()}, set_options);
+    DaemonSet fleet(*scenario, {daemon_a.address(), daemon_b.address()},
+                    set_options);
+    for (DaemonSet* set : {&solo, &fleet}) {
+      const std::vector<int> labels = set->classify(samples, 55);
+      ASSERT_EQ(labels.size(), kSamples);
+      for (std::size_t i = 0; i < kSamples; ++i) {
+        EXPECT_EQ(labels[i], scenario->server_model.predict(samples[i]));
+      }
+      EXPECT_EQ(set->stats().chunks_ok.load(), kSamples / 4);
+    }
+    daemon_a.stop();
+    daemon_b.stop();
+    for (const Daemon* daemon : {&daemon_a, &daemon_b}) {
+      const DaemonStatsSnapshot s = daemon->stats().snapshot();
+      EXPECT_EQ(s.sessions_failed, 0u);
+      EXPECT_TRUE(s.books_balance());
+    }
+    EXPECT_EQ(audit.aborts.load() - aborts_before,
+              audit.wiped.load() - wiped_before)
+        << "an OT abort left pad material unwiped";
+  }
 }
 
 TEST(ChaosDaemon, FailoverSkipsDeadReplicaInTheSet) {
