@@ -243,8 +243,8 @@ void BM_ReservoirRefill(benchmark::State& state) {
   auto [ch_a, ch_b] = net::make_channel();
   Rng rng_a(1), rng_b(2);
   crypto::PadReservoir reservoir(1);
-  crypto::SilentPadSender sender(group, rng_a, crypto::kSilentLowWater);
-  crypto::SilentPadReceiver receiver(group, rng_b, crypto::kSilentLowWater);
+  crypto::SilentPadSender sender(group, rng_a);
+  crypto::SilentPadReceiver receiver(group, rng_b);
   {
     std::thread peer([&] { receiver.ensure_ready(ch_b); });
     sender.ensure_ready(ch_a);

@@ -12,7 +12,6 @@
 #include "ppds/common/bytes.hpp"
 #include "ppds/common/rng.hpp"
 #include "ppds/common/secret_taint.hpp"
-#include "ppds/common/watermark.hpp"
 #include "ppds/crypto/ot.hpp"
 #include "ppds/crypto/pprf.hpp"
 #include "ppds/crypto/prg.hpp"
@@ -72,9 +71,8 @@ inline constexpr std::size_t kSilentStageQuantum = 128;
 /// has runway; also a protocol constant for the same reason.
 inline constexpr std::size_t kSilentLeadSlots = 16;
 
-/// Per-arity pool level the background reservoir refills against when a
-/// BatchedOt{Sender,Receiver} builds the engine. Local scheduling only:
-/// it never changes the wire.
+/// Per-arity pool level the background reservoir refills against. Local
+/// scheduling only: it never changes the wire.
 inline constexpr std::size_t kSilentLowWater = 16;
 
 using SilentRow = std::array<std::uint8_t, kSilentRowBytes>;
@@ -145,10 +143,7 @@ class SilentEngine : public RefillTarget, public SlotSource<Slot> {
   std::uint64_t sync_expansions() const;
 
  protected:
-  SilentEngine(const DhGroup& group, Rng& rng, std::size_t low_water)
-      : group_(group),
-        rng_(rng),
-        low_water_(std::max<std::size_t>(low_water, 1)) {}
+  SilentEngine(const DhGroup& group, Rng& rng) : group_(group), rng_(rng) {}
 
   struct Ledger {
     std::size_t arity = 2;
@@ -157,11 +152,14 @@ class SilentEngine : public RefillTarget, public SlotSource<Slot> {
   };
   struct Pool {
     std::size_t arity = 2;
-    LowWaterQueue<Slot> slots;
+    std::deque<Slot> slots;
   };
 
   Ledger& ledger_for(std::size_t arity);
   Pool& pool_for(std::size_t arity);
+  /// Pops the oldest finished slot; the caller's ledger check guarantees
+  /// one is there. mu_ held.
+  static Slot pop_slot(Pool& pool);
   void kick_reservoir();
   /// The role's share of abort() and of destruction; mu_ held, no
   /// expansion in flight.
@@ -176,7 +174,6 @@ class SilentEngine : public RefillTarget, public SlotSource<Slot> {
 
   const DhGroup& group_;
   Rng& rng_;
-  std::size_t low_water_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -196,7 +193,7 @@ class SilentEngine : public RefillTarget, public SlotSource<Slot> {
 
 class SilentPadSender : public SilentEngine<PrecomputedSendSlot> {
  public:
-  SilentPadSender(const DhGroup& group, Rng& rng, std::size_t low_water);
+  SilentPadSender(const DhGroup& group, Rng& rng);
   ~SilentPadSender() override;
 
   /// One-round-trip seed agreement (lazy; protocol thread). No-op once run.
@@ -251,7 +248,7 @@ class SilentPadSender : public SilentEngine<PrecomputedSendSlot> {
 
 class SilentPadReceiver : public SilentEngine<PrecomputedRecvSlot> {
  public:
-  SilentPadReceiver(const DhGroup& group, Rng& rng, std::size_t low_water);
+  SilentPadReceiver(const DhGroup& group, Rng& rng);
   ~SilentPadReceiver() override;
 
   void ensure_ready(net::Endpoint& channel) override;
@@ -290,8 +287,6 @@ class SilentPadReceiver : public SilentEngine<PrecomputedRecvSlot> {
   void expand_next_chunk_locked(std::unique_lock<std::mutex>& lk);
   std::uint64_t material_through() const;
   void wipe_secrets_locked() override;
-
-  std::size_t ahead_rows_;
 
   /// Both column keystream trees per column (the receiver ran the base OTs
   /// as sender, so it knows k0_j AND k1_j).

@@ -46,14 +46,17 @@ namespace ppds::ompe {
 
 enum class Backend : std::uint8_t { kReal = 0, kField = 1 };
 
+/// Range of |v| the real backend draws its evaluation nodes from. Public
+/// protocol constants (the session digests hash both).
+inline constexpr double kRealNodeLo = 0.3;
+inline constexpr double kRealNodeHi = 1.5;
+
 /// Public protocol parameters (shared by both parties out of band).
 struct OmpeParams {
   unsigned q = 8;        ///< masking-degree security parameter of the paper
   unsigned k = 3;        ///< cover blow-up; M = (p*q + 1) * k
   Backend backend = Backend::kReal;
   unsigned frac_bits = 20;  ///< fixed-point scale (field backend only)
-  double node_lo = 0.3;  ///< |v| lower bound for real-backend nodes
-  double node_hi = 1.5;  ///< |v| upper bound for real-backend nodes
 
   // --- Local performance knobs --------------------------------------------
   // NOT protocol parameters: they never change wire bytes (transcripts are

@@ -41,8 +41,8 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
   w.u32(config.ompe.q);
   w.u32(config.ompe.k);
   w.u32(config.ompe.frac_bits);
-  w.f64(config.ompe.node_lo);
-  w.f64(config.ompe.node_hi);
+  w.f64(ompe::kRealNodeLo);
+  w.f64(ompe::kRealNodeHi);
   // Local performance knobs (ompe.eval_threads, reservoir) are
   // deliberately NOT hashed: they never change wire bytes, so the parties
   // need not agree on them.
@@ -160,8 +160,8 @@ crypto::Digest similarity_digest(const svm::Kernel& kernel,
   w.u8(config.silent_precompute ? 1 : 0);  // wire-format change: hashed
   w.u32(config.ompe.q);
   w.u32(config.ompe.k);
-  w.f64(config.ompe.node_lo);
-  w.f64(config.ompe.node_hi);
+  w.f64(ompe::kRealNodeLo);
+  w.f64(ompe::kRealNodeHi);
   return crypto::sha256(w.data());
 }
 

@@ -659,7 +659,7 @@ template <typename Slot, typename Silent>
 std::unique_ptr<SlotSource<Slot>> make_source(const DhGroup& group, Rng& rng,
                                               OtOffline offline) {
   if (offline == OtOffline::kSilent) {
-    return std::make_unique<Silent>(group, rng, kSilentLowWater);
+    return std::make_unique<Silent>(group, rng);
   }
   return std::make_unique<DhBatchSource<Slot>>(group, rng);
 }

@@ -39,6 +39,11 @@ std::size_t block_rows_for(std::size_t shortfall) {
          kSilentStageQuantum;
 }
 
+/// How far the receiver's background expansion runs ahead of its staging
+/// cursor, in rows.
+constexpr std::size_t kReceiverAheadRows =
+    std::max(kSilentLowWater, kSilentLeadSlots) + 2 * kSilentStageQuantum;
+
 std::uint32_t bounded_choice(std::uint64_t word, std::size_t arity) {
   __extension__ using u128 = unsigned __int128;
   return static_cast<std::uint32_t>((static_cast<u128>(word) * arity) >> 64);
@@ -174,8 +179,16 @@ typename SilentEngine<Slot>::Pool& SilentEngine<Slot>::pool_for(
   for (Pool& pool : pools_) {
     if (pool.arity == arity) return pool;
   }
-  pools_.push_back(Pool{arity, LowWaterQueue<Slot>(low_water_)});
+  pools_.push_back(Pool{arity, {}});
   return pools_.back();
+}
+
+template <typename Slot>
+Slot SilentEngine<Slot>::pop_slot(Pool& pool) {
+  detail::require(!pool.slots.empty(), "silent ot: pop on an empty pool");
+  Slot out = std::move(pool.slots.front());
+  pool.slots.pop_front();
+  return out;
 }
 
 template <typename Slot>
@@ -191,7 +204,7 @@ void SilentEngine<Slot>::kick_reservoir() {
 template <typename Slot>
 void SilentEngine<Slot>::wipe_pools_locked() {
   for (Pool& pool : pools_) {
-    for (Slot& slot : pool.slots.items()) wipe_slot(slot);
+    for (Slot& slot : pool.slots) wipe_slot(slot);
   }
   for (Ledger& led : ledgers_) led.consumed = led.staged;
 }
@@ -199,7 +212,7 @@ void SilentEngine<Slot>::wipe_pools_locked() {
 template <typename Slot>
 bool SilentEngine<Slot>::pools_clean_locked() const {
   for (const Pool& pool : pools_) {
-    for (const Slot& slot : pool.slots.items()) {
+    for (const Slot& slot : pool.slots) {
       if (!slot_clean(slot)) return false;
     }
   }
@@ -211,9 +224,8 @@ template class SilentEngine<PrecomputedRecvSlot>;
 
 /// --- Sender half -------------------------------------------------------------
 
-SilentPadSender::SilentPadSender(const DhGroup& group, Rng& rng,
-                                 std::size_t low_water)
-    : SilentEngine(group, rng, low_water) {}
+SilentPadSender::SilentPadSender(const DhGroup& group, Rng& rng)
+    : SilentEngine(group, rng) {}
 
 SilentPadSender::~SilentPadSender() { shut_down(); }
 
@@ -362,7 +374,9 @@ void SilentPadSender::expand_front_locked(std::unique_lock<std::mutex>& lk) {
     for (PrecomputedSendSlot& slot : slots) wipe_slot(slot);
   } else {
     Pool& pool = pool_for(block.arity);
-    for (PrecomputedSendSlot& slot : slots) pool.slots.push(std::move(slot));
+    for (PrecomputedSendSlot& slot : slots) {
+      pool.slots.push_back(std::move(slot));
+    }
   }
   cv_.notify_all();
 }
@@ -389,9 +403,9 @@ PrecomputedSendSlot SilentPadSender::take(std::size_t arity) {
     }
   }
   Pool& pool = pool_for(arity);
-  PrecomputedSendSlot slot = pool.slots.pop();
+  PrecomputedSendSlot slot = pop_slot(pool);
   ledger_for(arity).consumed += 1;
-  const bool low = pool.slots.below_low_water() && !pending_.empty();
+  const bool low = pool.slots.size() < kSilentLowWater && !pending_.empty();
   lk.unlock();
   if (low) kick_reservoir();
   return slot;
@@ -442,11 +456,8 @@ std::uint64_t SilentPadSender::take_waits() const {
 
 /// --- Receiver half -----------------------------------------------------------
 
-SilentPadReceiver::SilentPadReceiver(const DhGroup& group, Rng& rng,
-                                     std::size_t low_water)
-    : SilentEngine(group, rng, low_water),
-      ahead_rows_(std::max(low_water_, kSilentLeadSlots) +
-                  2 * kSilentStageQuantum) {}
+SilentPadReceiver::SilentPadReceiver(const DhGroup& group, Rng& rng)
+    : SilentEngine(group, rng) {}
 
 SilentPadReceiver::~SilentPadReceiver() { shut_down(); }
 
@@ -580,7 +591,7 @@ void SilentPadReceiver::stage_to(net::Endpoint& channel, std::size_t arity,
       slot.choice = alpha;
       slot.arity = static_cast<std::uint32_t>(arity);
       slot.pad.assign(pad.begin(), pad.end());
-      pool.slots.push(std::move(slot));
+      pool.slots.push_back(std::move(slot));
       secure_wipe(std::span(pad));
       secure_wipe(std::span(code));
       secure_wipe(std::span(mat.t0));
@@ -613,9 +624,9 @@ PrecomputedRecvSlot SilentPadReceiver::take(std::size_t arity) {
   Pool& pool = pool_for(arity);
   // Receiver slots are built at staging time, so the ledger guarantee means
   // the pool is never empty here.
-  PrecomputedRecvSlot slot = pool.slots.pop();
+  PrecomputedRecvSlot slot = pop_slot(pool);
   led.consumed += 1;
-  const bool low = material_through() < next_row_ + ahead_rows_;
+  const bool low = material_through() < next_row_ + kReceiverAheadRows;
   lk.unlock();
   if (low) kick_reservoir();
   return slot;
@@ -624,14 +635,14 @@ PrecomputedRecvSlot SilentPadReceiver::take(std::size_t arity) {
 bool SilentPadReceiver::refill_step() {
   std::unique_lock lk(mu_);
   if (aborted_ || !ready_) return false;
-  if (material_through() >= next_row_ + ahead_rows_) return false;
+  if (material_through() >= next_row_ + kReceiverAheadRows) return false;
   expand_next_chunk_locked(lk);
   return true;
 }
 
 bool SilentPadReceiver::needs_refill() {
   std::lock_guard lk(mu_);
-  return ready_ && !aborted_ && material_through() < next_row_ + ahead_rows_;
+  return ready_ && !aborted_ && material_through() < next_row_ + kReceiverAheadRows;
 }
 
 void SilentPadReceiver::wipe_secrets_locked() {

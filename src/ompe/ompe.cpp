@@ -362,10 +362,12 @@ std::vector<M61> encode_term_coeffs(const math::MultiPoly& secret,
 }
 
 /// Evaluation nodes for the real backend: one node per jittered slot across
-/// [-hi, -lo] U [lo, hi], keeping pairwise separation so the final Lagrange
-/// step at degree p*q stays well-conditioned.
-std::vector<double> real_nodes(Rng& rng, std::size_t count, double lo,
-                               double hi) {
+/// [-hi, -lo] U [lo, hi] (hi, lo = kRealNodeHi, kRealNodeLo), keeping
+/// pairwise separation so the final Lagrange step at degree p*q stays
+/// well-conditioned.
+std::vector<double> real_nodes(Rng& rng, std::size_t count) {
+  constexpr double lo = kRealNodeLo;
+  constexpr double hi = kRealNodeHi;
   const std::size_t half = (count + 1) / 2;
   std::vector<double> nodes;
   nodes.reserve(count);
@@ -804,8 +806,7 @@ double run_receiver(net::Endpoint& channel,
           covers[j * (cq + 1) + l] = rng.uniform_nonzero(-bound, bound);
         }
       }
-      const std::vector<double> nodes =
-          real_nodes(rng, big_m, params.node_lo, params.node_hi);
+      const std::vector<double> nodes = real_nodes(rng, big_m);
       // Disguise tuples are drawn from SplitMix64-derived per-point streams
       // (seeded once from the caller's rng), so the parallel sweep emits
       // bit-identical bytes for every eval_threads setting.

@@ -71,7 +71,7 @@ TEST(SilentPads, SenderReceiverPadsCorrelate) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(101);
-        SilentPadSender s(test_group(), rng, /*low_water=*/4);
+        SilentPadSender s(test_group(), rng);
         s.ensure_ready(ch);
         s.stage_to(ch, arity, count);
         std::vector<PrecomputedSendSlot> slots;
@@ -80,7 +80,7 @@ TEST(SilentPads, SenderReceiverPadsCorrelate) {
       },
       [&](net::Endpoint& ch) {
         Rng rng(102);
-        SilentPadReceiver r(test_group(), rng, /*low_water=*/4);
+        SilentPadReceiver r(test_group(), rng);
         r.ensure_ready(ch);
         r.stage_to(ch, arity, count);
         std::vector<PrecomputedRecvSlot> slots;
@@ -108,9 +108,9 @@ TEST(SilentPads, SenderReceiverPadsCorrelate) {
 
 TEST(SilentPads, TakeBeyondLedgerThrows) {
   Rng rng(103);
-  SilentPadSender s(test_group(), rng, 4);
+  SilentPadSender s(test_group(), rng);
   EXPECT_THROW(s.take(2), Error);
-  SilentPadReceiver r(test_group(), rng, 4);
+  SilentPadReceiver r(test_group(), rng);
   EXPECT_THROW(r.take(2), Error);
 }
 
@@ -123,7 +123,7 @@ TEST(SilentPads, MarginalOfflineBandwidthIs16BytesPerSlot) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(104);
-        SilentPadSender s(test_group(), rng, 4);
+        SilentPadSender s(test_group(), rng);
         s.ensure_ready(ch);
         ch.reset_stats();
         s.stage_to(ch, 2, count);
@@ -131,7 +131,7 @@ TEST(SilentPads, MarginalOfflineBandwidthIs16BytesPerSlot) {
       },
       [&](net::Endpoint& ch) {
         Rng rng(105);
-        SilentPadReceiver r(test_group(), rng, 4);
+        SilentPadReceiver r(test_group(), rng);
         r.ensure_ready(ch);
         ch.reset_stats();
         r.stage_to(ch, 2, count);
@@ -419,7 +419,7 @@ TEST(PadReservoir, StopIsIdempotentAndDetachSafe) {
   EXPECT_EQ(reservoir.workers(), 2u);
   Rng rng(151);
   {
-    SilentPadSender s(test_group(), rng, 4);
+    SilentPadSender s(test_group(), rng);
     s.attach_reservoir(&reservoir);
     EXPECT_EQ(reservoir.attached(), 1u);
     s.detach_reservoir();
