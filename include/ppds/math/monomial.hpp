@@ -35,10 +35,6 @@ std::uint64_t monomial_count(std::size_t n, unsigned p);
 /// Multinomial coefficient p! / (k_1! ... k_n!), where sum(k_i) == p.
 double multinomial_coefficient(const Exponents& exps);
 
-/// Evaluates every monomial at the point \p t (the transform t -> tau).
-std::vector<double> monomial_transform(const std::vector<Exponents>& monomials,
-                                       const std::vector<double>& t);
-
 /// All monomials over \p n variables with total degree in [1, p], in GRADED
 /// canonical order: ascending degree, each degree level in the
 /// monomials_of_degree order. Both protocol parties derive the same list.
@@ -58,8 +54,9 @@ std::vector<Exponents> monomials_up_to(std::size_t n, unsigned p);
 ///
 /// The parent of a monomial is the monomial with its LAST nonzero exponent
 /// decremented. That choice reproduces the factor order of the naive
-/// ascending-variable product, so double-precision results are bit-identical
-/// to monomial_transform (and field results are exact either way).
+/// ascending-variable power walk, so double-precision results are
+/// bit-identical to it (the test oracle in tests/math/monomial_oracle.hpp;
+/// field results are exact either way).
 struct MonomialDag {
   static constexpr std::uint32_t kOne = 0xffffffffu;
 

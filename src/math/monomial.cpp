@@ -116,20 +116,4 @@ MonomialDag build_monomial_dag(const std::vector<Exponents>& monomials) {
   return dag;
 }
 
-std::vector<double> monomial_transform(const std::vector<Exponents>& monomials,
-                                       const std::vector<double>& t) {
-  std::vector<double> tau;
-  tau.reserve(monomials.size());
-  for (const Exponents& exps : monomials) {
-    detail::require(exps.size() == t.size(),
-                    "monomial_transform: dimension mismatch");
-    double value = 1.0;
-    for (std::size_t i = 0; i < exps.size(); ++i) {
-      for (unsigned j = 0; j < exps[i]; ++j) value *= t[i];
-    }
-    tau.push_back(value);
-  }
-  return tau;
-}
-
 }  // namespace ppds::math

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "../math/monomial_oracle.hpp"
 #include "ppds/data/synthetic.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/svm/smo.hpp"
@@ -86,7 +87,7 @@ TEST(ClassificationProfile, BatchTransformIdentityForLinearKernel) {
 }
 
 TEST(ClassificationProfile, DagTransformMatchesNaiveBitwise) {
-  // The profile's DAG transform replaced math::monomial_transform on the
+  // The profile's DAG transform replaced the naive power walk on the
   // client hot path; the two must agree BIT FOR BIT, or the protocol values
   // (and the exact field backend's fixed-point encodings) would drift.
   Rng rng(23);
@@ -97,7 +98,7 @@ TEST(ClassificationProfile, DagTransformMatchesNaiveBitwise) {
       std::vector<double> t(4);
       for (auto& v : t) v = rng.uniform(-2.0, 2.0);
       const auto via_dag = profile.transform(t);
-      const auto naive = math::monomial_transform(profile.monomials, t);
+      const auto naive = math::oracle::monomial_transform(profile.monomials, t);
       ASSERT_EQ(via_dag.size(), naive.size());
       for (std::size_t j = 0; j < naive.size(); ++j) {
         EXPECT_EQ(via_dag[j], naive[j]) << "degree=" << degree << " j=" << j;

