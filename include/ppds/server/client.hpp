@@ -21,17 +21,18 @@
 namespace ppds::server {
 
 /// One classification session: returns the class labels for \p samples.
-/// \p ot, when given, is a caller-owned OtBundle reused across sessions on
-/// this connection (silent scenarios: the PPRF seed agreement runs once and
-/// later sessions draw from the persistent pad ledger — see
-/// core::classify_session).
+/// \p ot is the connection's bundle from core::OtBundle::for_connection
+/// (silent scenarios: the PPRF seed agreement runs once and later sessions
+/// draw from the persistent pad ledger); nullptr runs the session on a
+/// bundle of its own, as every non-silent scenario does.
 std::vector<int> client_classify(
     net::Endpoint& channel, const Scenario& scenario,
     const std::vector<std::vector<double>>& samples, Rng& rng,
     core::OtBundle* ot = nullptr);
 
 /// One similarity session: returns T between the scenario's client model
-/// and the daemon's server model (smaller = more similar).
+/// and the daemon's server model (smaller = more similar). It always runs
+/// on a bundle of its own, as the daemon's side does.
 double client_similarity(net::Endpoint& channel, const Scenario& scenario,
                          Rng& rng);
 

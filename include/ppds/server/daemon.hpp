@@ -63,13 +63,16 @@
 /// returns the full DaemonStatsSnapshot so probes can watch queue depth
 /// and shed rates from outside the process.
 ///
-/// Silent scenarios (SchemeConfig::silent_precompute) give each connection a
-/// PERSISTENT OtBundle: the one-time base-OT seed agreement runs on the
-/// connection's first classification session, and every later session on
-/// that connection draws pads from the already-expanded PPRF ledger. With
-/// `:reservoir` in the scenario spec the daemon additionally runs one shared
-/// crypto::PadReservoir, so a parked keep-alive connection wakes to pools the
-/// background thread refilled while it was idle.
+/// Each accepted connection gets its OT scope from core::OtBundle::
+/// for_connection: silent scenarios (SchemeConfig::silent_precompute) keep
+/// one PERSISTENT bundle per connection, whose sender engine is built on the
+/// first classification session. The one-time base-OT seed agreement runs
+/// there, and every later session on that connection draws pads from the
+/// already-expanded PPRF ledger. With `:reservoir` in the scenario spec the
+/// daemon runs one shared crypto::PadReservoir that every such bundle
+/// attaches to, so a parked keep-alive connection wakes to pools the
+/// background thread refilled while it was idle. Similarity sessions always
+/// run on a bundle of their own.
 
 namespace ppds::server {
 
@@ -156,12 +159,13 @@ class Daemon {
   struct Connection {
     std::unique_ptr<net::SocketEndpoint> channel;
     Rng rng;  ///< server-side randomness, sticky to the connection
-    /// Persistent OT state (silent scenarios only): created lazily on the
-    /// connection's first classification session so the PPRF seed agreement
-    /// and expanded pad pools survive across keep-alive sessions. Non-silent
-    /// scenarios keep nullptr — serve_session builds a per-session bundle,
-    /// preserving the historical transcripts bit for bit. Torn down (and
-    /// detached from the reservoir) with the connection.
+    /// Persistent OT state from OtBundle::for_connection at accept (silent
+    /// scenarios only; it builds nothing until the first classification
+    /// session), so the PPRF seed agreement and expanded pad pools survive
+    /// across keep-alive sessions. Non-silent scenarios keep nullptr and
+    /// serve_session builds a per-session bundle. Declared after rng, which
+    /// it draws from; torn down (and detached from the reservoir) with the
+    /// connection.
     std::unique_ptr<core::OtBundle> ot;
     std::uint64_t id = 0;
     std::chrono::steady_clock::time_point last_activity;
