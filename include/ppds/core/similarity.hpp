@@ -115,9 +115,6 @@ struct SimilarityGeometry {
   /// Degree of the two stage-1 rounds: 1, or the kernel degree.
   unsigned stage1_degree() const { return kernelized ? kernel.degree : 1; }
 
-  /// K(v, v) for polynomial kernels, ||v||^2 for the linear one.
-  double self_product(const math::Vec& v) const;
-
   /// OT demand of one evaluation: two stage-1 rounds plus the degree-4
   /// stage-2 round.
   std::vector<OtDemand> ot_demand() const;

@@ -210,10 +210,6 @@ SimilarityGeometry::SimilarityGeometry(const svm::SvmModel& model,
   centroid = std::move(*c);
 }
 
-double SimilarityGeometry::self_product(const math::Vec& v) const {
-  return kernel_self(kernel, v);
-}
-
 std::vector<OtDemand> SimilarityGeometry::ot_demand() const {
   std::vector<OtDemand> demands =
       ot_demand_per_query(config.ompe, stage1_degree());
@@ -266,8 +262,8 @@ void SimilarityServer::serve(net::Endpoint& channel, Rng& rng) const {
         }
 
         // Stage 2: Eq. (7) with Alice's private constants.
-        const double kmm_a = g.self_product(g.centroid);
-        const double kww_a = g.self_product(g.w);
+        const double kmm_a = kernel_self(g.kernel, g.centroid);
+        const double kww_a = kernel_self(g.kernel, g.w);
         detail::require(kww_a > 0.0, "similarity: degenerate own weights");
         const double c1 = kmm_a + m_norm2_b;
         const double c2 = std::pow(space_.l0, 4.0);
@@ -284,8 +280,8 @@ void SimilarityServer::serve(net::Endpoint& channel, Rng& rng) const {
 SimilarityClient::SimilarityClient(const svm::SvmModel& model, DataSpace space,
                                    SchemeConfig config)
     : geometry_(model, space, config),
-      w_norm2_(geometry_.self_product(geometry_.w)),
-      m_norm2_(geometry_.self_product(geometry_.centroid)) {}
+      w_norm2_(kernel_self(geometry_.kernel, geometry_.w)),
+      m_norm2_(kernel_self(geometry_.kernel, geometry_.centroid)) {}
 
 double SimilarityClient::evaluate(net::Endpoint& channel, Rng& rng) const {
   const SimilarityGeometry& g = geometry_;

@@ -642,7 +642,8 @@ bool SilentPadReceiver::refill_step() {
 
 bool SilentPadReceiver::needs_refill() {
   std::lock_guard lk(mu_);
-  return ready_ && !aborted_ && material_through() < next_row_ + kReceiverAheadRows;
+  return ready_ && !aborted_ &&
+         material_through() < next_row_ + kReceiverAheadRows;
 }
 
 void SilentPadReceiver::wipe_secrets_locked() {

@@ -249,8 +249,10 @@ TEST(SimilaritySession, TranscriptPinnedOnPrecomputedAndSilent) {
   // the similarity wire bytes changed.
   SchemeConfig precomputed = SchemeConfig::fast_simulation();
   precomputed.ot_engine = OtEngine::kPrecomputed;
-  EXPECT_EQ(similarity_transcript(precomputed), "1aab6cd8f173737a/5aed21d0ce5825bd");
-  EXPECT_EQ(similarity_transcript(SchemeConfig::silent()), "90386a04c914373f/c8bb75a467478175");
+  EXPECT_EQ(similarity_transcript(precomputed),
+            "1aab6cd8f173737a/5aed21d0ce5825bd");
+  EXPECT_EQ(similarity_transcript(SchemeConfig::silent()),
+            "90386a04c914373f/c8bb75a467478175");
 }
 
 TEST(SimilaritySession, DataSpaceMismatchDenied) {

@@ -586,7 +586,8 @@ TEST(ChaosDaemon, DaemonSetServesSilentScenariosSoloAndAsFleet) {
   // bundle, and `:reservoir` must reach it. Solo and as a two-replica
   // fleet, every label must equal the plain model's, every daemon's books
   // must balance, and every OT abort must have wiped.
-  for (const Scenario* scenario : {&silent_plain_scenario(), &silent_scenario()}) {
+  for (const Scenario* scenario :
+       {&silent_plain_scenario(), &silent_scenario()}) {
     SCOPED_TRACE(scenario->spec.to_string());
     ASSERT_TRUE(scenario->config.silent_precompute);
     constexpr std::size_t kSamples = 16;
