@@ -97,9 +97,6 @@ class OtBundle {
   OtBundle(const SchemeConfig& cfg, Rng& rng);
   ~OtBundle();
 
-  OtBundle(const OtBundle&) = delete;
-  OtBundle& operator=(const OtBundle&) = delete;
-
   /// The connection-scope rule, for every keep-alive client and server:
   /// silent configs keep one bundle per connection, so the base-OT seed
   /// agreement runs on the connection's first session and later sessions
