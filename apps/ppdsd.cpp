@@ -40,6 +40,10 @@ int usage(const char* argv0) {
       "          [--max-connections N] [--accept-rate N] [--accept-burst N]\n"
       "          [--max-ready N] [--drain-grace-ms N]\n"
       "          [--reservoir]\n"
+      "Scenario presets pick the OT engine: fast is loopback OT (no\n"
+      "privacy; a transport ceiling), precomputed and secure run a fresh\n"
+      "DH batch per session (secure at q=8, k=3 over MODP-1536), silent\n"
+      "runs one PPRF seed agreement per connection.\n"
       "--max-connections / --accept-rate bound admission: connections past\n"
       "the live cap or the accept-per-second token bucket are answered with\n"
       "a structured busy frame (reason + retry-after) instead of an RST,\n"

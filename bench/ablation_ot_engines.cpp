@@ -2,9 +2,12 @@
 /// a black box; this bench quantifies what the choice costs for one private
 /// linear classification query (m-out-of-M OT of 8-byte values):
 ///   * loopback            — trusted simulation lower bound,
-///   * Naor-Pinkas 1024    — real public-key OT, benchmark-friendly group,
-///   * Naor-Pinkas 1536    — the default group,
-///   * precomputed         — Naor-Pinkas moved offline, online XOR only.
+///   * DH batch 1024       — real public-key OT (a fresh per-session DH
+///                           batch, as `:secure` runs it), benchmark-friendly
+///                           group,
+///   * DH batch 1536       — the same on the default group,
+///   * precomputed         — the DH batch split into its offline pool and
+///                           the online XOR-only transfers.
 /// It also reports wire bytes per query for each engine.
 
 #include <cstdio>
@@ -118,18 +121,18 @@ int main() {
   }
   {
     auto cfg = core::SchemeConfig::fast_simulation();
-    cfg.ot_engine = core::OtEngine::kNaorPinkas;
+    cfg.ot_engine = core::OtEngine::kPrecomputed;
     cfg.group = crypto::GroupId::kModp1024;
-    const Result r = run(cfg, 4);
-    std::printf("%-22s | %12.3f | %12llu\n", "naor-pinkas MODP-1024",
+    const Result r = run(cfg, 24);
+    std::printf("%-22s | %12.3f | %12llu\n", "dh batch MODP-1024",
                 r.ms_per_query, static_cast<unsigned long long>(r.wire_bytes));
   }
   {
     auto cfg = core::SchemeConfig::fast_simulation();
-    cfg.ot_engine = core::OtEngine::kNaorPinkas;
+    cfg.ot_engine = core::OtEngine::kPrecomputed;
     cfg.group = crypto::GroupId::kModp1536;
-    const Result r = run(cfg, 2);
-    std::printf("%-22s | %12.3f | %12llu\n", "naor-pinkas MODP-1536",
+    const Result r = run(cfg, 24);
+    std::printf("%-22s | %12.3f | %12llu\n", "dh batch MODP-1536",
                 r.ms_per_query, static_cast<unsigned long long>(r.wire_bytes));
   }
   run_precomputed(24);
@@ -137,6 +140,6 @@ int main() {
       "\nThe paper's remark that precomputing randomness reduces online cost\n"
       "holds for OT too: after the offline pool is exchanged, the online\n"
       "phase contains no public-key operations (see also micro_crypto's\n"
-      "BM_OtPrecomputedOnline: ~15 us per transfer vs ~2 ms full protocol).\n");
+      "BM_OtPrecomputedOnline: ~15 us per online transfer).\n");
   return 0;
 }

@@ -12,12 +12,12 @@
 ///  * the paper reports "about 4 times more than the original schemes" with
 ///    precomputed random polynomials; we print the measured ratio.
 ///
-/// A second section measures the SECURE engine's multi-query throughput:
-/// the sequential baseline (per-query Naor-Pinkas OT, one session, no
-/// offline phase) against the batched engine (amortized offline OT +
-/// session pool), both on the shared fixed-base-accelerated group, with
-/// the process-wide exponentiation counters bracketing each run. Results
-/// land in BENCH_classification.json (schema: docs/PERFORMANCE.md).
+/// A second section measures the SECURE engine's multi-query throughput
+/// for both offline phases: the amortized DH batch and the silent PPRF
+/// engine, each through the session pool on the shared fixed-base-
+/// accelerated group, with the process-wide exponentiation counters
+/// bracketing each run. Results land in BENCH_classification.json (schema:
+/// docs/PERFORMANCE.md).
 ///
 /// A third section probes the OFFLINE phase per pad slot: the PR-2 batched
 /// DH precompute (one blinded group element per slot) against the silent
@@ -94,17 +94,10 @@ bench::Json secure_run_json(const SecureRun& run) {
   return j;
 }
 
-/// Which secure offline engine a throughput run exercises.
-enum class SecureMode {
-  kSequential,  ///< per-query Naor-Pinkas OT, no offline phase
-  kBatched,     ///< amortized DH precompute
-  kSilent,      ///< PPRF seed agreement + 16-byte correction staging
-};
-
-/// Secure-engine throughput: \p queries linear classifications over real
-/// Naor-Pinkas machinery (kModp1024), offline phase selected by \p mode.
-SecureRun secure_throughput(std::size_t queries, SecureMode mode) {
-  const bool batched = mode != SecureMode::kSequential;
+/// Secure-engine throughput: \p queries linear classifications on the
+/// precomputed engine (kModp1024), with the silent offline phase when
+/// \p silent is set and the DH batch otherwise.
+SecureRun secure_throughput(std::size_t queries, bool silent) {
   const std::size_t dim = 16;
   Rng setup_rng(42);
   math::Vec w(dim);
@@ -117,9 +110,7 @@ SecureRun secure_throughput(std::size_t queries, SecureMode mode) {
   cfg.group = crypto::GroupId::kModp1024;
   cfg.ompe.q = 4;
   cfg.ompe.k = 2;
-  cfg.ot_engine = batched ? core::OtEngine::kPrecomputed
-                          : core::OtEngine::kNaorPinkas;
-  cfg.silent_precompute = mode == SecureMode::kSilent;
+  cfg.silent_precompute = silent;
 
   const core::ClassificationServer server(model, profile, cfg);
   const core::ClassificationClient client(profile, cfg);
@@ -136,26 +127,10 @@ SecureRun secure_throughput(std::size_t queries, SecureMode mode) {
 
   crypto::reset_exp_counters();
   Stopwatch watch;
-  if (batched) {
-    core::SessionPool pool(server, client, profile, cfg);
-    // One session per batch: the whole offline OT phase collapses into a
-    // single amortized round trip.
-    (void)pool.classify_batch(samples, /*seed=*/7, /*chunk_size=*/queries);
-  } else {
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng rng(1);
-          server.serve(ch, queries, rng);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rng(2);
-          int acc = 0;
-          for (const auto& s : samples) acc += client.classify(ch, s, rng);
-          return acc;
-        });
-    (void)outcome;
-  }
+  core::SessionPool pool(server, client, profile, cfg);
+  // One session per batch: the whole offline OT phase collapses into a
+  // single amortized round trip.
+  (void)pool.classify_batch(samples, /*seed=*/7, /*chunk_size=*/queries);
   SecureRun run;
   run.wall_ms = watch.millis();
   const crypto::ExpCounters exps = crypto::exp_counters();
@@ -338,28 +313,20 @@ int main(int argc, char** argv) {
   }
   report.set("loopback", std::move(loopback_rows));
 
-  // --- Secure-engine throughput: sequential vs batched vs silent ---
+  // --- Secure-engine throughput: batched vs silent ---
   bench::banner("Secure-engine multi-query throughput (kModp1024, linear)");
   bench::note(
-      "sequential = per-query Naor-Pinkas OT; "
       "batched = amortized offline OT + session pool; "
       "silent = PPRF seed agreement + correction staging");
 
   const bool with_reservoir = bench::has_flag(argc, argv, "--reservoir");
   const std::size_t queries = quick ? 4 : 24;
-  const SecureRun seq = secure_throughput(queries, SecureMode::kSequential);
-  const SecureRun bat = secure_throughput(queries, SecureMode::kBatched);
-  const SecureRun sil = secure_throughput(queries, SecureMode::kSilent);
-  const double speedup = seq.wall_ms / bat.wall_ms;
-  const double silent_speedup = seq.wall_ms / sil.wall_ms;
+  const SecureRun bat = secure_throughput(queries, /*silent=*/false);
+  const SecureRun sil = secure_throughput(queries, /*silent=*/true);
 
   std::printf("%-12s | %10s | %10s | %12s | %12s | %12s\n", "engine",
               "wall ms", "q/s", "full exp/q", "fixed exp/q", "multiexp/q");
   bench::rule(84);
-  std::printf("%-12s | %10.1f | %10.2f | %12.1f | %12.1f | %12.1f\n",
-              "sequential", seq.wall_ms, seq.queries_per_sec,
-              seq.exp_full_per_query, seq.exp_fixed_base_per_query,
-              seq.multi_exp_batches_per_query);
   std::printf("%-12s | %10.1f | %10.2f | %12.1f | %12.1f | %12.1f\n",
               "batched", bat.wall_ms, bat.queries_per_sec,
               bat.exp_full_per_query, bat.exp_fixed_base_per_query,
@@ -368,11 +335,6 @@ int main(int argc, char** argv) {
               "silent", sil.wall_ms, sil.queries_per_sec,
               sil.exp_full_per_query, sil.exp_fixed_base_per_query,
               sil.multi_exp_batches_per_query);
-  std::printf("speedup: batched %.2fx, silent %.2fx (full exps saved per "
-              "query vs sequential: %.1f / %.1f)\n",
-              speedup, silent_speedup,
-              seq.exp_full_per_query - bat.exp_full_per_query,
-              seq.exp_full_per_query - sil.exp_full_per_query);
 
   // --- Offline phase per-slot cost: PR-2 batched DH vs silent PPRF ---
   bench::banner("Offline pad precompute: per-slot cost, batched vs silent");
@@ -419,13 +381,8 @@ int main(int argc, char** argv) {
   auto secure = bench::Json::object();
   secure.set("group", "modp1024");
   secure.set("queries", queries);
-  secure.set("sequential", secure_run_json(seq));
   secure.set("batched", secure_run_json(bat));
   secure.set("silent", secure_run_json(sil));
-  secure.set("speedup", speedup);
-  secure.set("silent_speedup", silent_speedup);
-  secure.set("exp_full_saved_per_query",
-             seq.exp_full_per_query - bat.exp_full_per_query);
 
   auto offline = bench::Json::object();
   offline.set("arity", static_cast<std::uint64_t>(2));

@@ -1,7 +1,8 @@
 /// Micro-benchmarks of the cryptographic substrate (google-benchmark):
 /// SHA-256 throughput, PRG stream, DH-group exponentiation per MODP size,
-/// end-to-end 1-out-of-2 / k-out-of-n oblivious transfers, GGM/PPRF tree
-/// expansion, and the silent-OT background refill cycle.
+/// multi-exponentiation, the online phase of a precomputed 1-out-of-2
+/// transfer, GGM/PPRF tree expansion, and the silent-OT background refill
+/// cycle.
 
 #include <benchmark/benchmark.h>
 
@@ -113,66 +114,6 @@ void BM_MultiExp(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiExp)->Arg(4)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
-void BM_Ot1of2(benchmark::State& state) {
-  const crypto::DhGroup group(crypto::GroupId::kModp1024);
-  const Bytes m0(32, 1), m1(32, 2);
-  for (auto _ : state) {
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng rng(1);
-          crypto::NaorPinkasSender s(group, rng);
-          s.send_1of2(ch, m0, m1);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rng(2);
-          crypto::NaorPinkasReceiver r(group, rng);
-          return r.receive_1of2(ch, true, 32);
-        });
-    benchmark::DoNotOptimize(outcome.b);
-  }
-}
-BENCHMARK(BM_Ot1of2)->Unit(benchmark::kMillisecond);
-
-void BM_OtKofN(benchmark::State& state) {
-  const crypto::DhGroup group(crypto::GroupId::kModp1024);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t k = static_cast<std::size_t>(state.range(1));
-  std::vector<Bytes> msgs(n, Bytes(8, 3));
-  std::vector<std::size_t> want(k);
-  for (std::size_t i = 0; i < k; ++i) want[i] = i;
-  crypto::reset_exp_counters();
-  for (auto _ : state) {
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng rng(1);
-          crypto::NaorPinkasSender s(group, rng);
-          s.send(ch, msgs, k);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rng(2);
-          crypto::NaorPinkasReceiver r(group, rng);
-          return r.receive(ch, want, n, 8);
-        });
-    benchmark::DoNotOptimize(outcome.b);
-  }
-  // Per-transfer exponentiation bill — the quantity multi_exp and the
-  // fixed-base tables exist to shrink (compare the batched engine in fig9's
-  // secure_throughput block).
-  const crypto::ExpCounters c = crypto::exp_counters();
-  const double iters = static_cast<double>(state.iterations());
-  state.counters["full_exps_per_transfer"] =
-      benchmark::Counter(static_cast<double>(c.full) / iters);
-  state.counters["multi_exp_batches"] =
-      benchmark::Counter(static_cast<double>(c.multi_exp_batches) / iters);
-  state.SetLabel(std::to_string(k) + "-of-" + std::to_string(n));
-}
-BENCHMARK(BM_OtKofN)
-    ->Args({10, 5})
-    ->Args({27, 9})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_OtPrecomputedOnline(benchmark::State& state) {
   // Online phase only: the argument for OT precomputation.
   const crypto::DhGroup group(crypto::GroupId::kModp1024);
@@ -180,13 +121,11 @@ void BM_OtPrecomputedOnline(benchmark::State& state) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        crypto::NaorPinkasSender np(group, rng);
-        return crypto::precompute_ot_sender(ch, np, 512, 32, rng);
+        return crypto::precompute_ot_sender(ch, group, 512, 32, rng);
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
-        crypto::NaorPinkasReceiver np(group, rng);
-        return crypto::precompute_ot_receiver(ch, np, 512, 32, rng);
+        return crypto::precompute_ot_receiver(ch, group, 512, 32, rng);
       });
   std::size_t slot = 0;
   for (auto _ : state) {

@@ -33,9 +33,9 @@ int main() {
   // --- Public protocol agreement --------------------------------------
   // Both parties share: feature count, kernel type, scheme parameters.
   const auto profile = core::ClassificationProfile::make(2, model.kernel());
-  core::SchemeConfig config;                       // secure defaults:
-  config.ot_engine = core::OtEngine::kNaorPinkas;  // real public-key OT
-  config.group = crypto::GroupId::kModp1024;       // demo-sized group
+  // Secure defaults: public-key OT on a fresh per-session DH batch over
+  // MODP-1536, real-number OMPE at q=8, k=3.
+  const auto config = core::SchemeConfig::secure_default();
 
   core::ClassificationServer alice(model, profile, config);
   core::ClassificationClient bob(profile, config);

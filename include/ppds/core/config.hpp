@@ -16,17 +16,19 @@
 
 namespace ppds::core {
 
-/// Which OT instantiation carries the k-out-of-M transfer.
+/// Which OT instantiation carries the k-out-of-M transfer. The values are
+/// explicit because the protocol digests (core/session.hpp) hash the
+/// ordinal: 0 belonged to the retired per-transfer Naor-Pinkas engine.
 enum class OtEngine {
-  kNaorPinkas,   ///< real public-key OT (DhGroup modexp)
-  kPrecomputed,  ///< Naor-Pinkas moved offline; online transfers are
-                 ///< hash+XOR only (the paper's precomputation remark)
-  kLoopback,     ///< trusted simulation, benchmark-only (no privacy!)
+  kPrecomputed = 1,  ///< Naor-Pinkas amortized offline (DH batch or silent
+                     ///< seed agreement); online transfers are hash+XOR
+                     ///< only (the paper's precomputation remark)
+  kLoopback = 2,     ///< trusted simulation, benchmark-only (no privacy!)
 };
 
 struct SchemeConfig {
   ompe::OmpeParams ompe;
-  OtEngine ot_engine = OtEngine::kNaorPinkas;
+  OtEngine ot_engine = OtEngine::kPrecomputed;
   crypto::GroupId group = crypto::GroupId::kModp1536;
 
   /// Silent-OT offline phase for OtEngine::kPrecomputed: one PPRF seed
@@ -42,7 +44,8 @@ struct SchemeConfig {
   /// from the protocol digest, like ompe.eval_threads.
   bool reservoir = false;
 
-  /// Convenience presets.
+  /// Convenience presets. The default is private: the precomputed engine
+  /// on a fresh per-session DH batch over MODP-1536, q=8, k=3.
   static SchemeConfig secure_default() { return SchemeConfig{}; }
 
   /// Fast preset for throughput experiments: loopback OT, smaller q/k.
@@ -78,8 +81,8 @@ enum class OtRole { kSender, kReceiver };
 /// The one owner of a party's OT state. A bundle builds only the engine of
 /// the role it is used as (sender() or receiver(), on first call), so a
 /// server's bundle never holds, attaches or aborts a receiver it has no use
-/// for. Naor-Pinkas-based engines run over the process-wide shared_group(),
-/// so the fixed-base generator table is built once and stays warm across
+/// for. Precomputed engines run over the process-wide shared_group(), so
+/// the fixed-base generator table is built once and stays warm across
 /// sessions.
 ///
 /// For OtEngine::kPrecomputed the engines refill their slot pools on
@@ -123,7 +126,7 @@ class OtBundle {
   /// Fails the bundle closed after a mid-protocol error: wipes and poisons
   /// the precomputed OT slot pools of every engine built so far (see
   /// BatchedOtSender::abort — a half-consumed batch must never be resumed).
-  /// Safe to call for every engine; the stateless engines have nothing to
+  /// Safe to call for every engine; the loopback engine has nothing to
   /// discard.
   void abort() noexcept;
 

@@ -14,18 +14,23 @@
 /// \file ot.hpp
 /// The oblivious-transfer stack of Section III-B, bottom-up:
 ///
-///   1-out-of-2  — Naor-Pinkas over a DH group (semi-honest).
-///   1-out-of-n  — bit-decomposition key construction: the sender draws
-///                 2*ceil(log2 n) pad keys, encrypts message i under the
-///                 hash of the keys selected by i's bits, and the parties
-///                 run log2(n) parallel 1-out-of-2 OTs on the keys.
+///   offline     — Naor-Pinkas over a DH group (semi-honest), amortized:
+///                 one round trip fills a batch of random-pad 1-out-of-n
+///                 slots (precompute_ot_*), or seeds the silent PPRF
+///                 engine (crypto/silent_ot.hpp).
+///   1-out-of-n  — one direct slot per transfer up to kMaxDirectArity;
+///                 past it, the bit-decomposition key construction: the
+///                 sender draws 2*ceil(log2 n) pad keys, encrypts message
+///                 i under the hash of the keys selected by i's bits, and
+///                 each key moves over one arity-2 slot.
 ///   k-out-of-n  — k parallel 1-out-of-n instances (sufficient for the
 ///                 honest-but-curious model the paper assumes).
 ///
 /// All protocols speak over a net::Endpoint so every run has an exact,
 /// countable wire footprint. Two engines implement the same interface:
 ///
-///   NaorPinkas* — the real cryptographic instantiation (GMP modexp).
+///   BatchedOt*  — the real cryptographic instantiation: precomputed slots
+///                 from the DH batch or the silent engine, online hash/XOR.
 ///   Loopback*   — a trusted-simulation engine that transfers the selected
 ///                 messages directly. It provides NO privacy and exists so
 ///                 large benches can isolate the algebraic OMPE cost from
@@ -55,53 +60,6 @@ class OtReceiver {
                                      std::span<const std::size_t> indices,
                                      std::size_t n,
                                      std::size_t message_len) = 0;
-};
-
-/// --- Naor-Pinkas engine ----------------------------------------------------
-
-/// Cryptographic k-out-of-n OT sender. Shares a DhGroup with the receiver
-/// (public parameters).
-class NaorPinkasSender : public OtSender {
- public:
-  NaorPinkasSender(const DhGroup& group, Rng& rng)
-      : group_(group), rng_(rng) {}
-
-  void send(net::Endpoint& channel, std::span<const Bytes> messages,
-            std::size_t k) override;
-
-  /// Single 1-out-of-2 OT (exposed for tests and OT precomputation).
-  void send_1of2(net::Endpoint& channel, const Bytes& m0, const Bytes& m1);
-
-  const DhGroup& group() const { return group_; }
-
- private:
-  void send_1ofn(net::Endpoint& channel, std::span<const Bytes> messages);
-
-  const DhGroup& group_;
-  Rng& rng_;
-};
-
-/// Cryptographic k-out-of-n OT receiver.
-class NaorPinkasReceiver : public OtReceiver {
- public:
-  NaorPinkasReceiver(const DhGroup& group, Rng& rng)
-      : group_(group), rng_(rng) {}
-
-  std::vector<Bytes> receive(net::Endpoint& channel,
-                             std::span<const std::size_t> indices,
-                             std::size_t n, std::size_t message_len) override;
-
-  Bytes receive_1of2(net::Endpoint& channel, PPDS_SECRET bool choice,
-                     std::size_t message_len);
-
-  const DhGroup& group() const { return group_; }
-
- private:
-  Bytes receive_1ofn(net::Endpoint& channel, std::size_t index, std::size_t n,
-                     std::size_t message_len);
-
-  const DhGroup& group_;
-  Rng& rng_;
 };
 
 /// --- Loopback (trusted simulation) engine ----------------------------------
@@ -136,7 +94,8 @@ class LoopbackReceiver : public OtReceiver {
 /// with all N blinded public keys in one bundle, and both sides derive the
 /// random pads from hashed DH shared secrets with a per-slot domain-
 /// separation tag — one round trip and one full exponentiation per slot
-/// instead of 3 messages and 6 exponentiations. Fixed-base tables
+/// instead of the 3 messages and ~6 exponentiations of a per-transfer
+/// Naor-Pinkas 1-out-of-2 OT. Fixed-base tables
 /// (group.hpp) serve every g^x, the sender's inverse shares run through one
 /// Montgomery batch inversion, and the receiver builds a per-batch table
 /// for g^r.
@@ -191,11 +150,11 @@ class PadReservoir;
 /// Returns the sender-side slots; receiver-side slots come out of the
 /// matching call on the other thread.
 std::vector<PrecomputedSendSlot> precompute_ot_sender(
-    net::Endpoint& channel, NaorPinkasSender& sender, std::size_t count,
+    net::Endpoint& channel, const DhGroup& group, std::size_t count,
     std::size_t pad_len, Rng& rng, std::size_t arity = 2);
 
 std::vector<PrecomputedRecvSlot> precompute_ot_receiver(
-    net::Endpoint& channel, NaorPinkasReceiver& receiver, std::size_t count,
+    net::Endpoint& channel, const DhGroup& group, std::size_t count,
     std::size_t pad_len, Rng& rng, std::size_t arity = 2);
 
 /// Process-wide abort-and-wipe audit. Every BatchedOt{Sender,Receiver}::

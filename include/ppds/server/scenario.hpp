@@ -28,9 +28,10 @@
 ///   dataset — any Table I synthetic dataset name (data/synthetic.hpp)
 ///   kernel  — linear (default) or the paper's polynomial kernel
 ///   preset  — SchemeConfig preset: fast (loopback OT, default),
-///             precomputed (offline Naor-Pinkas + online hash/XOR),
-///             silent (precomputed engine with the PPRF silent offline
-///             phase), secure (full Naor-Pinkas per transfer)
+///             precomputed (fast's OMPE shape on a per-session DH batch +
+///             online hash/XOR), silent (precomputed engine with the PPRF
+///             silent offline phase), secure (secure_default(): the
+///             per-session DH batch over MODP-1536 at q=8, k=3)
 ///   reservoir — background pad-refill service (local-only knob; the
 ///             protocol digest ignores it, like eval_threads)
 /// Everything downstream (trained models, query samples) is a pure

@@ -8,15 +8,11 @@ namespace {
 
 /// Builds one role's engine for \p cfg. \p batched is pointed at the
 /// precomputed facade (hooked to \p reservoir when given) if there is one.
-template <typename Engine, typename NaorPinkas, typename Batched,
-          typename Loopback>
+template <typename Engine, typename Batched, typename Loopback>
 std::unique_ptr<Engine> build_engine(const SchemeConfig& cfg, Rng& rng,
                                      crypto::PadReservoir* reservoir,
                                      Batched*& batched) {
   switch (cfg.ot_engine) {
-    case OtEngine::kNaorPinkas:
-      return std::make_unique<NaorPinkas>(crypto::shared_group(cfg.group),
-                                          rng);
     case OtEngine::kPrecomputed: {
       auto engine = std::make_unique<Batched>(
           crypto::shared_group(cfg.group), rng,
@@ -107,19 +103,18 @@ void OtBundle::attach_reservoir(crypto::PadReservoir& reservoir) {
 
 crypto::OtSender& OtBundle::sender() {
   if (sender_ == nullptr) {
-    sender_ = build_engine<crypto::OtSender, crypto::NaorPinkasSender,
-                           crypto::BatchedOtSender, crypto::LoopbackSender>(
-        cfg_, rng_, reservoir_, batched_sender_);
+    sender_ = build_engine<crypto::OtSender, crypto::BatchedOtSender,
+                           crypto::LoopbackSender>(cfg_, rng_, reservoir_,
+                                                   batched_sender_);
   }
   return *sender_;
 }
 
 crypto::OtReceiver& OtBundle::receiver() {
   if (receiver_ == nullptr) {
-    receiver_ =
-        build_engine<crypto::OtReceiver, crypto::NaorPinkasReceiver,
-                     crypto::BatchedOtReceiver, crypto::LoopbackReceiver>(
-            cfg_, rng_, reservoir_, batched_receiver_);
+    receiver_ = build_engine<crypto::OtReceiver, crypto::BatchedOtReceiver,
+                             crypto::LoopbackReceiver>(cfg_, rng_, reservoir_,
+                                                       batched_receiver_);
   }
   return *receiver_;
 }

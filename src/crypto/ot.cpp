@@ -48,10 +48,11 @@ void check_equal_lengths(std::span<const Bytes> messages) {
   }
 }
 
-/// Shared 1-out-of-n sender body (bit-decomposition construction). The
-/// key-transfer primitive is supplied by the engine: real Naor-Pinkas
-/// 1-out-of-2 OTs or precomputed Beaver slots. \p transfer_keys is called
-/// once per index bit with (key0, key1).
+/// 1-out-of-n sender body past kMaxDirectArity (bit-decomposition
+/// construction): sender draws pad keys K_{j,0}, K_{j,1} for each index
+/// bit j, encrypts message i under SHA256(K_{1,i_1} || ... || K_{l,i_l} ||
+/// i) and ships all n ciphertexts; \p transfer_keys then moves each key
+/// pair over one arity-2 slot, called once per index bit with (key0, key1).
 template <typename TransferKeys>
 void send_1ofn_impl(net::Endpoint& channel, std::span<const Bytes> messages,
                     Rng& rng, TransferKeys&& transfer_keys) {
@@ -87,8 +88,7 @@ void send_1ofn_impl(net::Endpoint& channel, std::span<const Bytes> messages,
   wipe_key_pairs(keys);
 }
 
-/// Shared 1-out-of-n receiver body. \p transfer_key is called once per
-/// index bit with the wanted choice bit and must return the 32-byte key.
+/// 1-out-of-n receiver body. \p transfer_key is called once per index bit with the wanted choice bit and must return the 32-byte key.
 template <typename TransferKey>
 Bytes receive_1ofn_impl(net::Endpoint& channel, std::size_t index,
                         std::size_t n, std::size_t message_len,
@@ -118,115 +118,6 @@ Bytes receive_1ofn_impl(net::Endpoint& channel, std::size_t index,
 }
 
 }  // namespace
-
-/// --- Naor-Pinkas 1-out-of-2 --------------------------------------------------
-///
-/// Sender:   C random element --> receiver
-/// Receiver: secret x; PK_choice = g^x, PK_other = C * PK_choice^{-1};
-///           sends PK_0.
-/// Sender:   PK_1 = C * PK_0^{-1}; random r; sends g^r,
-///           E_b = m_b XOR PRG(H(PK_b^r, b)).
-/// Receiver: key = (g^r)^x decrypts E_choice.
-
-void NaorPinkasSender::send_1of2(net::Endpoint& channel, const Bytes& m0,
-                                 const Bytes& m1) {
-  detail::require(m0.size() == m1.size(), "ot_1of2: unequal message lengths");
-  const mpz_class c = group_.random_element(rng_);
-  channel.send(group_.serialize(c));
-
-  const Bytes pk0_bytes = channel.recv();
-  const mpz_class pk0 = group_.deserialize(pk0_bytes);
-
-  const mpz_class r = group_.random_exponent(rng_);
-  ByteWriter w;
-  w.raw(group_.serialize(group_.pow_g(r)));
-  w.raw(xor_pad(group_.hash_to_key(group_.pow(pk0, r), 0), m0));
-  // PK_1^r = (C / PK_0)^r = C^r * PK_0^{q-r}: one joint multi-exponentiation
-  // instead of an inversion plus a second full exponentiation. (PK_0 has
-  // order q for honest receivers, so PK_0^{q-r} == PK_0^{-r}; the model is
-  // semi-honest.)
-  const std::array<mpz_class, 2> bases{c, pk0};
-  const std::array<mpz_class, 2> exps{r, group_.q() - r};
-  w.raw(xor_pad(group_.hash_to_key(group_.multi_exp(bases, exps), 1), m1));
-  channel.send(w.take());
-}
-
-Bytes NaorPinkasReceiver::receive_1of2(net::Endpoint& channel,
-                                       PPDS_SECRET bool choice,
-                                       std::size_t message_len) {
-  const mpz_class c = group_.deserialize(channel.recv());
-
-  const mpz_class x = group_.random_exponent(rng_);
-  const mpz_class pk_choice = group_.pow_g(x);
-  const mpz_class pk_other = group_.mul(c, group_.invert(pk_choice));
-  channel.send(PPDS_DECLASSIFY(
-      group_.serialize(choice ? pk_other : pk_choice),
-      "blinded key: pk_other = C * pk_choice^-1, so the pair (PK_0) sent is "
-      "uniform regardless of choice; recovering choice needs CDH"));
-
-  const Bytes reply = channel.recv();
-  ByteReader rd(reply);
-  const mpz_class gr = group_.deserialize(rd.raw(group_.element_bytes()));
-  const Bytes e0 = rd.raw(message_len);
-  const Bytes e1 = rd.raw(message_len);
-  rd.expect_end();
-
-  const Digest key =
-      group_.hash_to_key(group_.pow(gr, x), choice ? 1 : 0);
-  return xor_pad(key, choice ? e1 : e0);
-}
-
-/// --- Naor-Pinkas 1-out-of-n ---------------------------------------------------
-///
-/// Sender draws pad keys K_{j,0}, K_{j,1} for each index bit j, encrypts
-/// message i under SHA256(K_{1,i_1} || ... || K_{l,i_l} || i), ships all n
-/// ciphertexts, then the parties run l = ceil(log2 n) 1-out-of-2 OTs on the
-/// keys (Naor-Pinkas construction).
-
-void NaorPinkasSender::send_1ofn(net::Endpoint& channel,
-                                 std::span<const Bytes> messages) {
-  check_equal_lengths(messages);
-  if (messages.size() == 1) {
-    channel.send(messages.front());
-    return;
-  }
-  send_1ofn_impl(channel, messages, rng_, [&](const Bytes& k0, const Bytes& k1) {
-    send_1of2(channel, k0, k1);
-  });
-}
-
-Bytes NaorPinkasReceiver::receive_1ofn(net::Endpoint& channel,
-                                       std::size_t index, std::size_t n,
-                                       std::size_t message_len) {
-  detail::require(index < n, "ot_1ofn: index out of range");
-  if (n == 1) return channel.recv();
-  return receive_1ofn_impl(channel, index, n, message_len, [&](bool choice) {
-    return receive_1of2(channel, choice, 32);
-  });
-}
-
-/// --- k-out-of-n on top --------------------------------------------------------
-
-void NaorPinkasSender::send(net::Endpoint& channel,
-                            std::span<const Bytes> messages, std::size_t k) {
-  check_equal_lengths(messages);
-  detail::require(k >= 1 && k <= messages.size(), "ot: bad k");
-  for (std::size_t i = 0; i < k; ++i) {
-    send_1ofn(channel, messages);
-  }
-}
-
-std::vector<Bytes> NaorPinkasReceiver::receive(
-    net::Endpoint& channel, std::span<const std::size_t> indices,
-    std::size_t n, std::size_t message_len) {
-  detail::require(!indices.empty() && indices.size() <= n, "ot: bad indices");
-  std::vector<Bytes> out;
-  out.reserve(indices.size());
-  for (std::size_t index : indices) {
-    out.push_back(receive_1ofn(channel, index, n, message_len));
-  }
-  return out;
-}
 
 /// --- Loopback engine ----------------------------------------------------------
 
@@ -276,7 +167,7 @@ std::size_t index_bits(std::size_t n) {
 /// legacy 1-out-of-2 batch byte for byte.
 
 std::vector<PrecomputedSendSlot> precompute_ot_sender(
-    net::Endpoint& channel, NaorPinkasSender& sender, std::size_t count,
+    net::Endpoint& channel, const DhGroup& group, std::size_t count,
     std::size_t pad_len, Rng& rng, std::size_t arity) {
   detail::require(pad_len >= 1 && pad_len <= 32,
                   "precompute ot: pad_len must be in [1, 32]");
@@ -285,7 +176,6 @@ std::vector<PrecomputedSendSlot> precompute_ot_sender(
   std::vector<PrecomputedSendSlot> slots(count);
   for (PrecomputedSendSlot& slot : slots) slot.pads.resize(arity);
   if (count == 0) return slots;
-  const DhGroup& group = sender.group();
 
   // a_1..a_{n-1} before r: arity 2 draws (a, r) in the legacy order, so
   // seeded offline transcripts are unchanged.
@@ -338,7 +228,7 @@ std::vector<PrecomputedSendSlot> precompute_ot_sender(
 }
 
 std::vector<PrecomputedRecvSlot> precompute_ot_receiver(
-    net::Endpoint& channel, NaorPinkasReceiver& receiver, std::size_t count,
+    net::Endpoint& channel, const DhGroup& group, std::size_t count,
     std::size_t pad_len, Rng& rng, std::size_t arity) {
   detail::require(pad_len >= 1 && pad_len <= 32,
                   "precompute ot: pad_len must be in [1, 32]");
@@ -349,7 +239,6 @@ std::vector<PrecomputedRecvSlot> precompute_ot_receiver(
     slot.arity = static_cast<std::uint32_t>(arity);
   }
   if (count == 0) return slots;
-  const DhGroup& group = receiver.group();
   const std::size_t eb = group.element_bytes();
 
   const Bytes announce = channel.recv();
@@ -543,11 +432,8 @@ template <typename Slot>
 class DhBatchSource final : public SlotSource<Slot> {
  public:
   static constexpr bool kSender = std::is_same_v<Slot, PrecomputedSendSlot>;
-  using Base =
-      std::conditional_t<kSender, NaorPinkasSender, NaorPinkasReceiver>;
 
-  DhBatchSource(const DhGroup& group, Rng& rng)
-      : base_(group, rng), rng_(rng) {}
+  DhBatchSource(const DhGroup& group, Rng& rng) : group_(group), rng_(rng) {}
 
   ~DhBatchSource() override {
     for (Pool& pool : pools_) {
@@ -564,10 +450,10 @@ class DhBatchSource final : public SlotSource<Slot> {
     if (have >= count) return;
     std::vector<Slot> fresh;
     if constexpr (kSender) {
-      fresh = precompute_ot_sender(channel, base_, count - have, 32, rng_,
+      fresh = precompute_ot_sender(channel, group_, count - have, 32, rng_,
                                    arity);
     } else {
-      fresh = precompute_ot_receiver(channel, base_, count - have, 32, rng_,
+      fresh = precompute_ot_receiver(channel, group_, count - have, 32, rng_,
                                      arity);
     }
     std::lock_guard lk(mu_);
@@ -649,7 +535,7 @@ class DhBatchSource final : public SlotSource<Slot> {
     return pools_.back();
   }
 
-  Base base_;
+  const DhGroup& group_;
   Rng& rng_;
   mutable std::mutex mu_;
   std::vector<Pool> pools_;

@@ -239,9 +239,8 @@ void SilentPadSender::ensure_ready(net::Endpoint& channel) {
   // seed per column plus the secret choice bit Delta_j. One amortized round
   // trip of kSilentColumns 1-of-2 transfers is the engine's entire
   // public-key bill.
-  NaorPinkasReceiver base(group_, rng_);
   auto base_slots =
-      precompute_ot_receiver(channel, base, kSilentColumns, 32, rng_, 2);
+      precompute_ot_receiver(channel, group_, kSilentColumns, 32, rng_, 2);
   std::vector<GgmTree> trees;
   trees.reserve(kSilentColumns);
   PPDS_SECRET SilentRow delta{};
@@ -469,9 +468,8 @@ void SilentPadReceiver::ensure_ready(net::Endpoint& channel) {
   }
   // Role flip: the pad-receiver is the base-OT SENDER and keeps BOTH
   // 32-byte seeds per column, hence both keystream trees.
-  NaorPinkasSender base(group_, rng_);
   auto base_slots =
-      precompute_ot_sender(channel, base, kSilentColumns, 32, rng_, 2);
+      precompute_ot_sender(channel, group_, kSilentColumns, 32, rng_, 2);
   std::vector<GgmTree> trees0;
   std::vector<GgmTree> trees1;
   trees0.reserve(kSilentColumns);

@@ -11,7 +11,8 @@ namespace {
 
 TEST(SchemeConfig, DefaultsAreSecure) {
   const SchemeConfig cfg = SchemeConfig::secure_default();
-  EXPECT_EQ(cfg.ot_engine, OtEngine::kNaorPinkas);
+  EXPECT_EQ(cfg.ot_engine, OtEngine::kPrecomputed);
+  EXPECT_FALSE(cfg.silent_precompute);
   EXPECT_EQ(cfg.group, crypto::GroupId::kModp1536);
   EXPECT_EQ(cfg.ompe.backend, ompe::Backend::kReal);
   EXPECT_EQ(cfg.ompe.q, 8u);

@@ -26,53 +26,71 @@ std::vector<Bytes> make_messages(std::size_t n, std::size_t len) {
   return msgs;
 }
 
+// NaorPinkasOt / NaorPinkas1ofN: the public-key OT as the library runs
+// it, Naor-Pinkas amortized into DH batches behind BatchedOt{Sender,
+// Receiver}. Each transfer consumes one precomputed slot.
+
 TEST(NaorPinkasOt, OneOfTwoBothChoices) {
   for (bool choice : {false, true}) {
-    const Bytes m0{1, 2, 3, 4}, m1{5, 6, 7, 8};
+    const std::vector<Bytes> msgs{Bytes{1, 2, 3, 4}, Bytes{5, 6, 7, 8}};
+    const std::vector<std::size_t> want{choice ? 1u : 0u};
     auto outcome = net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng rng(1);
-          NaorPinkasSender s(test_group(), rng);
-          s.send_1of2(ch, m0, m1);
+          BatchedOtSender s(test_group(), rng);
+          s.reserve(ch, 2, 1);
+          s.send(ch, msgs, 1);
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng rng(2);
-          NaorPinkasReceiver r(test_group(), rng);
-          return r.receive_1of2(ch, choice, 4);
+          BatchedOtReceiver r(test_group(), rng);
+          r.reserve(ch, 2, 1);
+          return r.receive(ch, want, 2, 4);
         });
-    EXPECT_EQ(outcome.b, choice ? m1 : m0) << choice;
+    ASSERT_EQ(outcome.b.size(), 1u);
+    EXPECT_EQ(outcome.b[0], msgs[want[0]]) << choice;
   }
 }
 
 TEST(NaorPinkasOt, UnequalLengthsRejected) {
   auto [a, b] = net::make_channel();
   Rng rng(1);
-  NaorPinkasSender s(test_group(), rng);
-  EXPECT_THROW(s.send_1of2(a, Bytes{1}, Bytes{1, 2}), InvalidArgument);
+  BatchedOtSender s(test_group(), rng);
+  const std::vector<Bytes> msgs{Bytes{1}, Bytes{1, 2}};
+  EXPECT_THROW(s.send(a, msgs, 1), InvalidArgument);
 }
 
 class NaorPinkas1ofN : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(NaorPinkas1ofN, EveryIndexRetrievable) {
+  // One session retrieves every index in turn from n reserved slots; n == 1
+  // sends its single message directly and reserves nothing.
   const std::size_t n = GetParam();
   const auto msgs = make_messages(n, 16);
+  auto outcome = net::run_two_party(
+      [&](net::Endpoint& ch) {
+        Rng rng(10 + n);
+        BatchedOtSender s(test_group(), rng);
+        if (n > 1) s.reserve(ch, n, n);
+        for (std::size_t want = 0; want < n; ++want) s.send(ch, msgs, 1);
+        return s.available_slots();
+      },
+      [&](net::Endpoint& ch) {
+        Rng rng(20 + n);
+        BatchedOtReceiver r(test_group(), rng);
+        if (n > 1) r.reserve(ch, n, n);
+        std::vector<Bytes> got;
+        for (std::size_t want = 0; want < n; ++want) {
+          const std::vector<std::size_t> indices{want};
+          got.push_back(r.receive(ch, indices, n, 16).at(0));
+        }
+        return got;
+      });
+  EXPECT_EQ(outcome.a, 0u);  // every reserved slot consumed, none refilled
+  ASSERT_EQ(outcome.b.size(), n);
   for (std::size_t want = 0; want < n; ++want) {
-    std::vector<std::size_t> indices{want};
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng rng(10 + want);
-          NaorPinkasSender s(test_group(), rng);
-          s.send(ch, msgs, 1);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rng(20 + want);
-          NaorPinkasReceiver r(test_group(), rng);
-          return r.receive(ch, indices, n, 16);
-        });
-    ASSERT_EQ(outcome.b.size(), 1u);
-    EXPECT_EQ(outcome.b[0], msgs[want]) << "n=" << n << " idx=" << want;
+    EXPECT_EQ(outcome.b[want], msgs[want]) << "n=" << n << " idx=" << want;
   }
 }
 
@@ -86,13 +104,15 @@ TEST(NaorPinkasOt, KOutOfNRetrievesExactlyRequested) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        NaorPinkasSender s(test_group(), rng);
+        BatchedOtSender s(test_group(), rng);
+        s.reserve(ch, n, k);
         s.send(ch, msgs, k);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
-        NaorPinkasReceiver r(test_group(), rng);
+        BatchedOtReceiver r(test_group(), rng);
+        r.reserve(ch, n, k);
         return r.receive(ch, want, n, 8);
       });
   ASSERT_EQ(outcome.b.size(), k);
@@ -102,7 +122,7 @@ TEST(NaorPinkasOt, KOutOfNRetrievesExactlyRequested) {
 TEST(NaorPinkasOt, ZeroMessagesRejected) {
   auto [a, b] = net::make_channel();
   Rng rng(1);
-  NaorPinkasSender s(test_group(), rng);
+  BatchedOtSender s(test_group(), rng);
   const std::vector<Bytes> none;
   EXPECT_THROW(s.send(a, none, 1), Error);
 }
@@ -113,7 +133,7 @@ TEST(NaorPinkasOt, ZeroMessagesRejected) {
 TEST(NaorPinkasOt, ZeroNReceiveRejected) {
   auto [a, b] = net::make_channel();
   Rng rng(2);
-  NaorPinkasReceiver r(test_group(), rng);
+  BatchedOtReceiver r(test_group(), rng);
   const std::vector<std::size_t> idx{0};
   EXPECT_THROW(r.receive(b, idx, 0, 8), Error);
 }
@@ -134,13 +154,13 @@ TEST(NaorPinkasOt, IndexOutOfRangeThrows) {
       net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng rng(1);
-            NaorPinkasSender s(test_group(), rng);
+            BatchedOtSender s(test_group(), rng);
             s.send(ch, msgs, 1);
             return 0;
           },
           [&](net::Endpoint& ch) {
             Rng rng(2);
-            NaorPinkasReceiver r(test_group(), rng);
+            BatchedOtReceiver r(test_group(), rng);
             const std::vector<std::size_t> bad{4};
             return r.receive(ch, bad, 4, 8);
           }),
@@ -187,8 +207,7 @@ TEST(PrecomputedOt, OnlinePhaseCorrectForAllChoiceCombos) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(31);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, count, 16, rng);
+        auto slots = precompute_ot_sender(ch, test_group(), count, 16, rng);
         for (std::size_t i = 0; i < count; ++i) {
           Bytes m0(16, static_cast<std::uint8_t>(i));
           Bytes m1(16, static_cast<std::uint8_t>(100 + i));
@@ -198,8 +217,8 @@ TEST(PrecomputedOt, OnlinePhaseCorrectForAllChoiceCombos) {
       },
       [&](net::Endpoint& ch) {
         Rng rng(32);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, count, 16, rng);
+        auto slots =
+            precompute_ot_receiver(ch, test_group(), count, 16, rng);
         std::vector<Bytes> got;
         for (std::size_t i = 0; i < count; ++i) {
           got.push_back(precomputed_receive_1of2(ch, slots[i], i % 2 == 1));
@@ -220,16 +239,14 @@ TEST(PrecomputedOt, OnlineWireCostIsTiny) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(41);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, 1, 8, rng);
+        auto slots = precompute_ot_sender(ch, test_group(), 1, 8, rng);
         ch.reset_stats();
         precomputed_send_1of2(ch, slots[0], Bytes(8, 1), Bytes(8, 2));
         return ch.stats().bytes;
       },
       [&](net::Endpoint& ch) {
         Rng rng(42);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, 1, 8, rng);
+        auto slots = precompute_ot_receiver(ch, test_group(), 1, 8, rng);
         precomputed_receive_1of2(ch, slots[0], true);
         return 0;
       });
@@ -244,8 +261,8 @@ TEST(PrecomputedOt, DirectOneOfNEveryIndexRetrievable) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(51);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, count, 16, rng, arity);
+        auto slots =
+            precompute_ot_sender(ch, test_group(), count, 16, rng, arity);
         for (std::size_t i = 0; i < count; ++i) {
           EXPECT_EQ(slots[i].pads.size(), arity);
           precomputed_send_1ofn(ch, slots[i], msgs);
@@ -254,8 +271,8 @@ TEST(PrecomputedOt, DirectOneOfNEveryIndexRetrievable) {
       },
       [&](net::Endpoint& ch) {
         Rng rng(52);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, count, 16, rng, arity);
+        auto slots =
+            precompute_ot_receiver(ch, test_group(), count, 16, rng, arity);
         std::vector<Bytes> got;
         for (std::size_t i = 0; i < count; ++i) {
           EXPECT_EQ(slots[i].arity, arity);
@@ -277,16 +294,14 @@ TEST(PrecomputedOt, DirectOneOfNOnlineWireCost) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(53);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, 1, 8, rng, arity);
+        auto slots = precompute_ot_sender(ch, test_group(), 1, 8, rng, arity);
         ch.reset_stats();
         precomputed_send_1ofn(ch, slots[0], msgs);
         return ch.stats().bytes;
       },
       [&](net::Endpoint& ch) {
         Rng rng(54);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, 1, 8, rng, arity);
+        auto slots = precompute_ot_receiver(ch, test_group(), 1, 8, rng, arity);
         ch.reset_stats();
         precomputed_receive_1ofn(ch, slots[0], 4, 8);
         return ch.stats().bytes;
@@ -298,10 +313,11 @@ TEST(PrecomputedOt, DirectOneOfNOnlineWireCost) {
 TEST(PrecomputedOt, ArityOutOfRangeRejected) {
   auto [a, b] = net::make_channel();
   Rng rng(55);
-  NaorPinkasSender np(test_group(), rng);
-  EXPECT_THROW(precompute_ot_sender(a, np, 1, 16, rng, 1), InvalidArgument);
-  EXPECT_THROW(precompute_ot_sender(a, np, 1, 16, rng, kMaxDirectArity + 1),
+  EXPECT_THROW(precompute_ot_sender(a, test_group(), 1, 16, rng, 1),
                InvalidArgument);
+  EXPECT_THROW(
+      precompute_ot_sender(a, test_group(), 1, 16, rng, kMaxDirectArity + 1),
+      InvalidArgument);
 }
 
 // The kPrecomputed engine is BatchedOt{Sender,Receiver}: a k-out-of-n
@@ -400,14 +416,12 @@ TEST(BatchedPrecompute, OfflinePhaseIsOneRoundTrip) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(70);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, 64, 32, rng);
+        auto slots = precompute_ot_sender(ch, test_group(), 64, 32, rng);
         return ch.stats().messages;
       },
       [&](net::Endpoint& ch) {
         Rng rng(71);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, 64, 32, rng);
+        auto slots = precompute_ot_receiver(ch, test_group(), 64, 32, rng);
         return ch.stats().messages;
       });
   EXPECT_EQ(outcome.a, 1u);
@@ -418,14 +432,12 @@ TEST(BatchedPrecompute, ZeroSlotsExchangesNothing) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(72);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, 0, 16, rng);
+        auto slots = precompute_ot_sender(ch, test_group(), 0, 16, rng);
         return slots.size() + ch.stats().messages;
       },
       [&](net::Endpoint& ch) {
         Rng rng(73);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, 0, 16, rng);
+        auto slots = precompute_ot_receiver(ch, test_group(), 0, 16, rng);
         return slots.size() + ch.stats().messages;
       });
   EXPECT_EQ(outcome.a, 0u);
@@ -435,9 +447,10 @@ TEST(BatchedPrecompute, ZeroSlotsExchangesNothing) {
 TEST(BatchedPrecompute, PadLenOutOfRangeRejected) {
   auto [a, b] = net::make_channel();
   Rng rng(74);
-  NaorPinkasSender np(test_group(), rng);
-  EXPECT_THROW(precompute_ot_sender(a, np, 1, 0, rng), InvalidArgument);
-  EXPECT_THROW(precompute_ot_sender(a, np, 1, 33, rng), InvalidArgument);
+  EXPECT_THROW(precompute_ot_sender(a, test_group(), 1, 0, rng),
+               InvalidArgument);
+  EXPECT_THROW(precompute_ot_sender(a, test_group(), 1, 33, rng),
+               InvalidArgument);
 }
 
 TEST(BatchedEngine, ReserveThenTransfer) {

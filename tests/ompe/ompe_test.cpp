@@ -254,7 +254,8 @@ TEST(Ompe, LinearFastPathDeclaredDegree) {
 }
 
 TEST(Ompe, ResultWithNaorPinkasOtMatches) {
-  // Full cryptographic stack once (small q/k to keep modexp count low).
+  // Full cryptographic stack once (small q/k to keep modexp count low):
+  // Naor-Pinkas amortized into one DH batch, then hash/XOR transfers.
   const auto p = math::MultiPoly::affine({0.9, -0.4}, 0.2);
   OmpeParams params;
   params.q = 2;
@@ -264,13 +265,13 @@ TEST(Ompe, ResultWithNaorPinkasOtMatches) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(11);
-        crypto::NaorPinkasSender ot(group, rng);
+        crypto::BatchedOtSender ot(group, rng);
         run_sender(ch, p, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(12);
-        crypto::NaorPinkasReceiver ot(group, rng);
+        crypto::BatchedOtReceiver ot(group, rng);
         return run_receiver(ch, alpha, 1, 2, params, ot, rng);
       });
   EXPECT_NEAR(outcome.b, p.evaluate(alpha), 1e-9);
