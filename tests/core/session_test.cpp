@@ -83,7 +83,7 @@ TEST(ProtocolDigest, GoldenHexForServedScenarios) {
             "91905f8eb12e114fdaf9af6432a108fd2318859a27de79dd4d586a7d13321ed4");
   EXPECT_EQ(to_hex(similarity_digest(poly_kernel, space,
                                      SchemeConfig::secure_default())),
-            "c246e620fdf9443f3d96e0f2578ea76a3705b1af1ac06a74cd3d2dca3cea7bde");
+            "e9d0aa545949d44fed7a5a23ea84b6c9ef9ee9992cbaa9c507ed6e9f1ed9bd5a");
 }
 
 TEST(Session, AgreedParametersClassifyEndToEnd) {
