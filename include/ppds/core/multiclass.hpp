@@ -23,8 +23,8 @@ namespace ppds::core {
 class MulticlassServer {
  public:
   /// \p profile must match the kernel every pairwise model was trained
-  /// with. Precomputed OT is not supported here (use per-pair batching at
-  /// the call site if needed).
+  /// with. Every OT engine works: each pairwise round builds its own OT
+  /// bundle and both sides reserve the same demand for it.
   MulticlassServer(svm::MulticlassModel model, ClassificationProfile profile,
                    SchemeConfig config);
 

@@ -8,8 +8,6 @@ MulticlassServer::MulticlassServer(svm::MulticlassModel model,
                                    ClassificationProfile profile,
                                    SchemeConfig config)
     : model_(std::move(model)), profile_(profile), config_(config) {
-  detail::require(config.ot_engine != OtEngine::kPrecomputed,
-                  "MulticlassServer: precomputed OT unsupported here");
   servers_.reserve(model_.pairs().size());
   for (const svm::PairwiseModel& pair : model_.pairs()) {
     servers_.emplace_back(pair.model, profile_, config_);
@@ -29,8 +27,6 @@ MulticlassClient::MulticlassClient(const svm::MulticlassModel& vote_book,
                                    ClassificationProfile profile,
                                    SchemeConfig config)
     : labels_(vote_book.labels()), binary_(profile, config) {
-  detail::require(config.ot_engine != OtEngine::kPrecomputed,
-                  "MulticlassClient: precomputed OT unsupported here");
   pair_labels_.reserve(vote_book.pairs().size());
   for (const svm::PairwiseModel& pair : vote_book.pairs()) {
     pair_labels_.emplace_back(pair.positive_label, pair.negative_label);

@@ -90,16 +90,41 @@ TEST(PrivateMulticlass, NoncontiguousLabelsRoundTrip) {
   }
 }
 
-TEST(PrivateMulticlass, PrecomputedEngineRejected) {
+TEST(PrivateMulticlass, SecureDefaultMatchesPlainPredictions) {
+  // The default private engine (a fresh DH batch per pairwise session):
+  // each pairwise round reserves the same demand on both sides.
   Rng rng(8);
   const auto train = three_blobs(rng, 20);
   const auto model =
       svm::MulticlassModel::train(train, svm::Kernel::linear());
   const auto profile = ClassificationProfile::make(2, svm::Kernel::linear());
-  SchemeConfig cfg;
-  cfg.ot_engine = OtEngine::kPrecomputed;
-  EXPECT_THROW(MulticlassServer(model, profile, cfg), InvalidArgument);
-  EXPECT_THROW(MulticlassClient(model, profile, cfg), InvalidArgument);
+  const SchemeConfig cfg;
+  ASSERT_EQ(cfg.ot_engine, OtEngine::kPrecomputed);
+  MulticlassServer server(model, profile, cfg);
+  MulticlassClient client(model, profile, cfg);
+
+  Rng sample_rng(9);
+  std::vector<math::Vec> samples;
+  for (int i = 0; i < 6; ++i) {
+    samples.push_back({sample_rng.uniform(-1, 1), sample_rng.uniform(-1, 1)});
+  }
+  auto outcome = net::run_two_party(
+      [&](net::Endpoint& ch) {
+        Rng r(10);
+        server.serve(ch, samples.size(), r);
+        return 0;
+      },
+      [&](net::Endpoint& ch) {
+        Rng r(11);
+        std::vector<int> labels;
+        for (const auto& s : samples) {
+          labels.push_back(client.classify(ch, s, r));
+        }
+        return labels;
+      });
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(outcome.b[i], model.predict(samples[i])) << i;
+  }
 }
 
 }  // namespace
