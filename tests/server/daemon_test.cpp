@@ -171,6 +171,46 @@ TEST(Daemon, ServesClassificationAboveTheSimilarityCap) {
   EXPECT_TRUE(daemon.stats().snapshot().books_balance());
 }
 
+TEST(Daemon, ServesSecureScenarioClassification) {
+  // The default private preset: every session on a keep-alive connection
+  // runs its own DH batch (no connection-scoped bundle), labels match the
+  // plain model, and no OT abort leaves pad material behind.
+  const Scenario scenario = Scenario::make("diabetes:linear:secure", 2029);
+  ASSERT_EQ(scenario.config.ot_engine, core::OtEngine::kPrecomputed);
+  ASSERT_FALSE(scenario.config.silent_precompute);
+  const auto& audit = crypto::ot_abort_audit();
+  const std::uint64_t aborts_before = audit.aborts.load();
+  const std::uint64_t wiped_before = audit.wiped.load();
+  Daemon daemon(scenario, loopback_options());
+  daemon.start();
+
+  auto channel = connect_to(daemon);
+  Rng rng(42);
+  for (std::size_t session = 0; session < 2; ++session) {
+    const auto first = scenario.queries.begin() +
+                       static_cast<std::ptrdiff_t>(2 * session);
+    const std::vector<std::vector<double>> samples(first, first + 2);
+    const std::vector<int> labels =
+        client_classify(*channel, scenario, samples, rng);
+    ASSERT_EQ(labels.size(), samples.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      EXPECT_EQ(labels[i], scenario.server_model.predict(samples[i]));
+    }
+  }
+  client_goodbye(*channel);
+
+  EXPECT_TRUE(eventually([&] {
+    return daemon.stats().connections_closed.load() >= 1;
+  }));
+  daemon.stop();
+  EXPECT_EQ(daemon.stats().sessions_ok.load(), 2u);
+  EXPECT_EQ(daemon.stats().sessions_failed.load(), 0u);
+  EXPECT_TRUE(daemon.stats().snapshot().books_balance());
+  EXPECT_EQ(audit.wiped.load() - wiped_before,
+            audit.aborts.load() - aborts_before)
+      << "an OT abort left pad material unwiped";
+}
+
 TEST(Daemon, SocketTranscriptsBitIdenticalToInProcessPath) {
   // The acceptance bar for the whole subsystem: one sequential client
   // against ppdsd produces byte-for-byte the payload schedule of the

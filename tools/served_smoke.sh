@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Served keep-alive smoke over unix sockets, on silent scenarios (persistent
-# per-connection OT state):
-#   1. one ppdsd on diabetes:linear:silent:reservoir; one ppds-cli
-#      connection runs classify, classify, similarity and health;
+# Served keep-alive smoke over unix sockets:
+#   1. one ppdsd on diabetes:linear:silent:reservoir (persistent
+#      per-connection OT state); one ppds-cli connection runs classify,
+#      classify, similarity and health;
 #   2. two ppdsd replicas on diabetes:linear:silent; ppds-cli in fleet mode
-#      (--connect a,b) shards one classify batch across both.
+#      (--connect a,b) shards one classify batch across both;
+#   3. one ppdsd on diabetes:linear:secure (a fresh DH batch per session);
+#      one connection runs classify, classify and health. Similarity is
+#      left out: at the secure preset's q=8 it can miss the plain value.
 # Fails unless every classify line reports that all samples match the plain
 # model, and every ppdsd exits 0 on SIGTERM with balanced books and every
 # OT pool zeroed.
@@ -88,6 +91,13 @@ out="$("$cli" --connect "unix:$work/a.sock,unix:$work/b.sock" \
   --scenario diabetes:linear:silent --seed 7 --chunk-size 4 \
   classify --count 16)"
 check_classify "$out" 1
+stop_daemons
+
+start_daemon secure diabetes:linear:secure
+out="$("$cli" --connect "unix:$work/secure.sock" \
+  --scenario diabetes:linear:secure --seed 7 \
+  classify --count 2 classify --count 2 health)"
+check_classify "$out" 2
 stop_daemons
 
 echo "served_smoke: ok"
