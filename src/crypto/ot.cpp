@@ -88,7 +88,9 @@ void send_1ofn_impl(net::Endpoint& channel, std::span<const Bytes> messages,
   wipe_key_pairs(keys);
 }
 
-/// 1-out-of-n receiver body. \p transfer_key is called once per index bit with the wanted choice bit and must return the 32-byte key.
+/// 1-out-of-n receiver body past kMaxDirectArity. \p transfer_key is
+/// called once per index bit with the wanted choice bit and must return
+/// the 32-byte key.
 template <typename TransferKey>
 Bytes receive_1ofn_impl(net::Endpoint& channel, std::size_t index,
                         std::size_t n, std::size_t message_len,
