@@ -148,7 +148,7 @@ class DhGroup {
   /// Uniform exponent in [1, q).
   mpz_class random_exponent(Rng& rng) const;
 
-  /// Uniform group element g^r for secret r (used as the sender's "C").
+  /// Uniform group element g^r for secret r (test and bench inputs).
   mpz_class random_element(Rng& rng) const;
 
   /// Fixed-width big-endian serialization.

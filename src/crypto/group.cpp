@@ -307,7 +307,7 @@ mpz_class DhGroup::random_exponent(Rng& rng) const {
   const std::size_t words = (bits + 63) / 64;
   for (;;) {
     // DH private exponent in the making: the taint root for every secret
-    // exponent in the Naor-Pinkas OT (sender x, receiver k, base-OT pads).
+    // exponent in the DH-batch OT (sender a_j and r, receiver x).
     PPDS_SECRET mpz_class candidate = 0;
     for (std::size_t i = 0; i < words; ++i) {
       const std::uint64_t word = rng();
