@@ -1,9 +1,11 @@
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "ppds/common/secret_taint.hpp"
 #include "ppds/core/config.hpp"
+#include "ppds/crypto/sha256.hpp"
 #include "ppds/math/monomial.hpp"
 #include "ppds/net/channel.hpp"
 #include "ppds/svm/model.hpp"
@@ -39,6 +41,10 @@ struct ClassificationProfile {
   /// per monomial instead of a per-monomial power walk, with the same
   /// ascending-variable product order, so bitwise-identical to that walk.
   math::MonomialDag monomial_dag;
+  /// monomial_basis_digest(monomial_dag), computed once in make(): the
+  /// handshake binds the basis through these 32 bytes instead of hashing
+  /// the exponent stream every session. Unset when there is no basis.
+  std::optional<crypto::Digest> basis_digest;
 
   /// Builds the profile both parties agree on. \p taylor_order is the
   /// truncation degree for RBF/sigmoid kernels (ignored otherwise).
@@ -63,7 +69,8 @@ class ClassificationServer {
   /// \p model must use the same kernel the profile was built from. Only
   /// its expansion into the profile's basis is kept.
   ClassificationServer(const svm::SvmModel& model,
-                       ClassificationProfile profile, SchemeConfig config);
+                       const ClassificationProfile& profile,
+                       SchemeConfig config);
 
   /// Serves \p count queries over the channel. \p external, when given, is
   /// a caller-owned OtBundle reused across sessions (persistent silent-OT
@@ -73,8 +80,8 @@ class ClassificationServer {
              OtBundle* external = nullptr) const;
 
  private:
-  ClassificationProfile profile_;
   SchemeConfig config_;
+  unsigned declared_degree_;
   /// Monomial-basis kernels (polynomial) expand to a LINEAR function of the
   /// transformed variates tau: coefficients + constant, served through the
   /// OMPE linear fast path. Other kernels keep the generic MultiPoly.
@@ -92,13 +99,23 @@ struct LinearExpansion {
   double constant = 0.0;
 };
 
+/// Sweeps the monomial DAG once per support vector (seeded with c_s), so
+/// the products and their summation order match the per-monomial power
+/// walk bit for bit (tests/core/decision_coefficients_oracle.hpp).
 LinearExpansion expand_decision_coefficients(
     const svm::SvmModel& model, const ClassificationProfile& profile);
+
+/// SHA-256 over \p dag's parent array, then its var array, each entry a
+/// little-endian u32. The DAG fixes the basis exactly: node i's exponents
+/// are its parent's plus one in var[i].
+crypto::Digest monomial_basis_digest(const math::MonomialDag& dag);
 
 /// Bob: issues private classification queries.
 class ClassificationClient {
  public:
-  ClassificationClient(ClassificationProfile profile, SchemeConfig config);
+  /// Keeps the profile's shape and evaluation DAG, not its exponent list.
+  ClassificationClient(const ClassificationProfile& profile,
+                       SchemeConfig config);
 
   /// One query: returns the randomized decision value ra * d(t̃) (sign is
   /// the class). The paper's Bob only ever uses the sign; the raw value is
@@ -125,8 +142,11 @@ class ClassificationClient {
       Rng& rng, OtBundle* external = nullptr) const;
 
  private:
-  ClassificationProfile profile_;
   SchemeConfig config_;
+  std::size_t input_dim_;
+  std::size_t poly_arity_;
+  unsigned declared_degree_;
+  math::MonomialDag dag_;  ///< empty unless the kernel needs a transform
 };
 
 /// Expands a trained model's decision function into the profile's polynomial

@@ -25,8 +25,8 @@ class MulticlassServer {
   /// \p profile must match the kernel every pairwise model was trained
   /// with. Every OT engine works: each pairwise round builds its own OT
   /// bundle and both sides reserve the same demand for it.
-  MulticlassServer(svm::MulticlassModel model, ClassificationProfile profile,
-                   SchemeConfig config);
+  MulticlassServer(svm::MulticlassModel model,
+                   const ClassificationProfile& profile, SchemeConfig config);
 
   /// Serves \p count multiclass queries (count * num_pairs binary rounds).
   void serve(net::Endpoint& channel, std::size_t count, Rng& rng) const;
@@ -35,8 +35,6 @@ class MulticlassServer {
 
  private:
   svm::MulticlassModel model_;
-  ClassificationProfile profile_;
-  SchemeConfig config_;
   std::vector<ClassificationServer> servers_;  // one per class pair
 };
 
@@ -48,7 +46,8 @@ class MulticlassClient {
   /// used — only labels/pair order). In a deployment this is protocol
   /// metadata; here the natural way to carry it is the type itself.
   MulticlassClient(const svm::MulticlassModel& vote_book,
-                   ClassificationProfile profile, SchemeConfig config);
+                   const ClassificationProfile& profile,
+                   SchemeConfig config);
 
   /// One private multiclass query: returns the winning class label.
   int classify(net::Endpoint& channel, const std::vector<double>& sample,

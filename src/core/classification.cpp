@@ -82,6 +82,7 @@ ClassificationProfile ClassificationProfile::make(std::size_t input_dim,
       detail::require(kernel.degree >= 1, "polynomial kernel degree >= 1");
       profile.monomials = math::monomials_up_to(input_dim, kernel.degree);
       profile.monomial_dag = math::build_monomial_dag(profile.monomials);
+      profile.basis_digest = monomial_basis_digest(profile.monomial_dag);
       profile.poly_arity = profile.monomials.size();
       profile.declared_degree = kernel.degree;
       break;
@@ -100,46 +101,53 @@ ClassificationProfile ClassificationProfile::make(std::size_t input_dim,
   return profile;
 }
 
-std::vector<double> ClassificationProfile::transform(
-    const std::vector<double>& sample) const {
+namespace {
+
+void check_dim(const std::vector<double>& sample, std::size_t input_dim) {
   detail::require(sample.size() == input_dim,
                   "ClassificationProfile: sample dimension mismatch");
-  if (monomials.empty()) return sample;
-  // Graded basis: each monomial is its divisor parent times one variable,
-  // so the full transform costs one multiplication per monomial.
-  std::vector<double> tau(monomial_dag.size());
-  monomial_dag.evaluate(std::span<const double>(sample), std::span<double>(tau));
+}
+
+/// t -> tau over \p dag (identity when the DAG is empty). Graded basis:
+/// each monomial is its divisor parent times one variable, so the full
+/// transform costs one multiplication per monomial.
+std::vector<double> transform_one(const math::MonomialDag& dag,
+                                  std::size_t input_dim,
+                                  const std::vector<double>& sample) {
+  check_dim(sample, input_dim);
+  if (dag.empty()) return sample;
+  std::vector<double> tau(dag.size());
+  dag.evaluate(std::span<const double>(sample), std::span<double>(tau));
   return tau;
 }
 
-std::vector<std::vector<double>> ClassificationProfile::transform_batch(
-    const std::vector<std::vector<double>>& samples) const {
+std::vector<std::vector<double>> transform_many(
+    const math::MonomialDag& dag, std::size_t input_dim,
+    const std::vector<std::vector<double>>& samples) {
   std::vector<std::vector<double>> out;
   out.reserve(samples.size());
-  if (monomials.empty()) {
+  if (dag.empty()) {
     for (const std::vector<double>& sample : samples) {
-      detail::require(sample.size() == input_dim,
-                      "ClassificationProfile: sample dimension mismatch");
+      check_dim(sample, input_dim);
       out.push_back(sample);
     }
     return out;
   }
   // Node-major SoA block: lane b of node i lives at block[i * kLanes + b].
   // Each sample still sees the exact per-node multiply chain of
-  // transform(), so results are bit-identical; the lanes are independent
-  // chains, which is what lets the inner loop vectorize.
+  // transform_one(), so results are bit-identical; the lanes are
+  // independent chains, which is what lets the inner loop vectorize.
   constexpr std::size_t kLanes = 8;
-  const std::size_t nodes = monomial_dag.size();
+  const std::size_t nodes = dag.size();
   std::vector<double> block(nodes * kLanes);
   std::size_t s0 = 0;
   for (; s0 + kLanes <= samples.size(); s0 += kLanes) {
     for (std::size_t b = 0; b < kLanes; ++b) {
-      detail::require(samples[s0 + b].size() == input_dim,
-                      "ClassificationProfile: sample dimension mismatch");
+      check_dim(samples[s0 + b], input_dim);
     }
     for (std::size_t i = 0; i < nodes; ++i) {
-      const std::uint32_t parent = monomial_dag.parent[i];
-      const std::uint32_t var = monomial_dag.var[i];
+      const std::uint32_t parent = dag.parent[i];
+      const std::uint32_t var = dag.var[i];
       double* lane = block.data() + i * kLanes;
       if (parent == math::MonomialDag::kOne) {
         for (std::size_t b = 0; b < kLanes; ++b) {
@@ -158,8 +166,29 @@ std::vector<std::vector<double>> ClassificationProfile::transform_batch(
       out.push_back(std::move(tau));
     }
   }
-  for (; s0 < samples.size(); ++s0) out.push_back(transform(samples[s0]));
+  for (; s0 < samples.size(); ++s0) {
+    out.push_back(transform_one(dag, input_dim, samples[s0]));
+  }
   return out;
+}
+
+}  // namespace
+
+std::vector<double> ClassificationProfile::transform(
+    const std::vector<double>& sample) const {
+  return transform_one(monomial_dag, input_dim, sample);
+}
+
+std::vector<std::vector<double>> ClassificationProfile::transform_batch(
+    const std::vector<std::vector<double>>& samples) const {
+  return transform_many(monomial_dag, input_dim, samples);
+}
+
+crypto::Digest monomial_basis_digest(const math::MonomialDag& dag) {
+  ByteWriter w;
+  for (const std::uint32_t parent : dag.parent) w.u32(parent);
+  for (const std::uint32_t var : dag.var) w.u32(var);
+  return crypto::sha256(w.data());
 }
 
 math::MultiPoly expand_decision_function(const svm::SvmModel& model,
@@ -235,8 +264,28 @@ LinearExpansion expand_decision_coefficients(
   const unsigned p = kernel.degree;
   const auto& svs = model.support_vectors();
   const auto& cs = model.coefficients();
+  const math::MonomialDag& dag = profile.monomial_dag;
+  detail::require(dag.size() == profile.monomials.size(),
+                  "expand_decision_coefficients: basis without its DAG");
+  // One DAG sweep per support vector, seeded with c_s: node j holds
+  // c_s * prod x_s^kappa_j, multiplied in the ascending-variable order of
+  // the power walk, and the sums run in ascending s, so sv_sums matches
+  // the per-monomial loop bit for bit.
+  std::vector<double> sv_sums(dag.size(), 0.0);
+  std::vector<double> prods(dag.size());
+  for (std::size_t s = 0; s < svs.size(); ++s) {
+    const math::Vec& x = svs[s];
+    for (std::size_t j = 0; j < dag.size(); ++j) {
+      const std::uint32_t parent = dag.parent[j];
+      const double up =
+          parent == math::MonomialDag::kOne ? cs[s] : prods[parent];
+      prods[j] = up * x[dag.var[j]];
+      sv_sums[j] += prods[j];
+    }
+  }
   LinearExpansion out;
   out.coeffs.assign(profile.poly_arity, 0.0);
+  math::Exponents extended;
   for (std::size_t j = 0; j < profile.monomials.size(); ++j) {
     const math::Exponents& kappa = profile.monomials[j];
     unsigned i = 0;
@@ -246,20 +295,12 @@ LinearExpansion expand_decision_coefficients(
       if (kernel.b0 == 0.0) continue;  // homogeneous kernel: no low terms
       b0_pow = std::pow(kernel.b0, static_cast<double>(p - i));
     }
-    math::Exponents extended = kappa;
+    extended.assign(kappa.begin(), kappa.end());
     extended.push_back(static_cast<std::uint8_t>(p - i));
     const double combinatorial = math::multinomial_coefficient(extended);
-    double sv_sum = 0.0;
-    for (std::size_t s = 0; s < svs.size(); ++s) {
-      double prod = cs[s];
-      for (std::size_t var = 0; var < kappa.size(); ++var) {
-        for (unsigned e = 0; e < kappa[var]; ++e) prod *= svs[s][var];
-      }
-      sv_sum += prod;
-    }
     out.coeffs[j] = combinatorial *
                     std::pow(kernel.a0, static_cast<double>(i)) * b0_pow *
-                    sv_sum;
+                    sv_sums[j];
   }
   // Constant part: b plus, for inhomogeneous kernels, the b0^p term of
   // every support vector.
@@ -274,16 +315,16 @@ LinearExpansion expand_decision_coefficients(
 }
 
 ClassificationServer::ClassificationServer(const svm::SvmModel& model,
-                                           ClassificationProfile profile,
+                                           const ClassificationProfile& profile,
                                            SchemeConfig config)
-    : profile_(std::move(profile)), config_(config) {
-  if (profile_.kernel.type == svm::KernelType::kPolynomial) {
+    : config_(config), declared_degree_(profile.declared_degree) {
+  if (profile.kernel.type == svm::KernelType::kPolynomial) {
     linear_in_tau_ = true;
-    LinearExpansion expansion = expand_decision_coefficients(model, profile_);
+    LinearExpansion expansion = expand_decision_coefficients(model, profile);
     tau_coeffs_ = std::move(expansion.coeffs);
     tau_constant_ = expansion.constant;
   } else {
-    poly_ = expand_decision_function(model, profile_);
+    poly_ = expand_decision_function(model, profile);
   }
 }
 
@@ -292,7 +333,7 @@ void ClassificationServer::serve(net::Endpoint& channel, std::size_t count,
   // Precomputed engine: the whole batch's offline OT phase runs up front
   // (the client's matching batch call does the same).
   const auto demand =
-      ot_demand_per_query(config_.ompe, profile_.declared_degree);
+      ot_demand_per_query(config_.ompe, declared_degree_);
   run_ot_session(
       config_, OtRole::kSender, channel, rng, external, demand, count,
       [&](OtBundle& ot) {
@@ -311,20 +352,24 @@ void ClassificationServer::serve(net::Endpoint& channel, std::size_t count,
             for (double& c : amplified) c *= ra;
             ompe::run_sender_linear(channel, amplified, ra * tau_constant_,
                                     config_.ompe, ot.sender(), rng,
-                                    profile_.declared_degree);
+                                    declared_degree_);
           } else {
             PPDS_SECRET math::MultiPoly amplified = poly_;
             amplified.scale(ra);
             ompe::run_sender(channel, amplified, config_.ompe, ot.sender(),
-                             rng, profile_.declared_degree);
+                             rng, declared_degree_);
           }
         }
       });
 }
 
-ClassificationClient::ClassificationClient(ClassificationProfile profile,
-                                           SchemeConfig config)
-    : profile_(std::move(profile)), config_(config) {}
+ClassificationClient::ClassificationClient(
+    const ClassificationProfile& profile, SchemeConfig config)
+    : config_(config),
+      input_dim_(profile.input_dim),
+      poly_arity_(profile.poly_arity),
+      declared_degree_(profile.declared_degree),
+      dag_(profile.monomial_dag) {}
 
 double ClassificationClient::query_value(net::Endpoint& channel,
                                          const std::vector<double>& sample,
@@ -347,8 +392,7 @@ int ClassificationClient::classify(net::Endpoint& channel,
 std::vector<double> ClassificationClient::query_values_batch(
     net::Endpoint& channel, const std::vector<std::vector<double>>& samples,
     Rng& rng, OtBundle* external) const {
-  const auto demand =
-      ot_demand_per_query(config_.ompe, profile_.declared_degree);
+  const auto demand = ot_demand_per_query(config_.ompe, declared_degree_);
   return run_ot_session(
       config_, OtRole::kReceiver, channel, rng, external, demand,
       samples.size(), [&](OtBundle& ot) {
@@ -356,10 +400,10 @@ std::vector<double> ClassificationClient::query_values_batch(
         out.reserve(samples.size());
         // Transform the whole batch up front through the SoA lane sweep
         // (bit-identical per sample to transform()).
-        for (const auto& tau : profile_.transform_batch(samples)) {
-          out.push_back(ompe::run_receiver(
-              channel, tau, profile_.declared_degree, profile_.poly_arity,
-              config_.ompe, ot.receiver(), rng));
+        for (const auto& tau : transform_many(dag_, input_dim_, samples)) {
+          out.push_back(ompe::run_receiver(channel, tau, declared_degree_,
+                                           poly_arity_, config_.ompe,
+                                           ot.receiver(), rng));
         }
         return out;
       });

@@ -5,12 +5,12 @@
 namespace ppds::core {
 
 MulticlassServer::MulticlassServer(svm::MulticlassModel model,
-                                   ClassificationProfile profile,
+                                   const ClassificationProfile& profile,
                                    SchemeConfig config)
-    : model_(std::move(model)), profile_(profile), config_(config) {
+    : model_(std::move(model)) {
   servers_.reserve(model_.pairs().size());
   for (const svm::PairwiseModel& pair : model_.pairs()) {
-    servers_.emplace_back(pair.model, profile_, config_);
+    servers_.emplace_back(pair.model, profile, config);
   }
 }
 
@@ -24,7 +24,7 @@ void MulticlassServer::serve(net::Endpoint& channel, std::size_t count,
 }
 
 MulticlassClient::MulticlassClient(const svm::MulticlassModel& vote_book,
-                                   ClassificationProfile profile,
+                                   const ClassificationProfile& profile,
                                    SchemeConfig config)
     : labels_(vote_book.labels()), binary_(profile, config) {
   pair_labels_.reserve(vote_book.pairs().size());

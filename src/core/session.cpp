@@ -26,10 +26,13 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
   w.u64(profile.poly_arity);
   w.u32(profile.declared_degree);
   profile.kernel.serialize(w);
-  // The monomial basis must match exactly: hash the exponent stream.
+  // The monomial basis must match exactly. make() hashed its DAG once;
+  // bind that digest. An empty basis (linear kernel) writes the count only.
   w.u64(profile.monomials.size());
-  for (const math::Exponents& exps : profile.monomials) {
-    w.raw(exps);
+  if (!profile.monomials.empty()) {
+    detail::require(profile.basis_digest.has_value(),
+                    "protocol_digest: monomial basis without a basis digest");
+    w.raw(*profile.basis_digest);
   }
   w.u8(static_cast<std::uint8_t>(config.ot_engine));
   w.u8(static_cast<std::uint8_t>(config.group));

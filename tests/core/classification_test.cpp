@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "../math/monomial_oracle.hpp"
+#include "decision_coefficients_oracle.hpp"
 #include "ppds/data/synthetic.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/svm/smo.hpp"
@@ -176,6 +178,39 @@ TEST(ExpandDecision, InhomogeneousPolynomialKernel) {
     const math::Vec t{rng.uniform(-1, 1), rng.uniform(-1, 1)};
     EXPECT_NEAR(poly.evaluate(profile.transform(t)), model.decision_value(t),
                 1e-10);
+  }
+}
+
+TEST(ExpandDecision, DagCoefficientsMatchNaiveBitwise) {
+  // A random degree-3 model over 6 features (83 monomials), homogeneous
+  // and inhomogeneous: the DAG sweep must reproduce the naive power walk's
+  // coefficients and constant bit for bit.
+  Rng rng(11);
+  std::vector<math::Vec> svs;
+  std::vector<double> coeffs;
+  for (int s = 0; s < 7; ++s) {
+    math::Vec sv(6);
+    for (double& v : sv) v = rng.uniform(-1.5, 1.5);
+    svs.push_back(sv);
+    coeffs.push_back(rng.uniform(-2, 2));
+  }
+  svm::Kernel inhomogeneous = svm::Kernel::paper_polynomial(6);
+  inhomogeneous.a0 = 0.7;
+  inhomogeneous.b0 = 1.3;
+  for (const svm::Kernel& kernel :
+       {svm::Kernel::paper_polynomial(6), inhomogeneous}) {
+    const svm::SvmModel model(kernel, svs, coeffs, -0.25);
+    const auto profile = ClassificationProfile::make(6, kernel);
+    const LinearExpansion dag = expand_decision_coefficients(model, profile);
+    const LinearExpansion naive = oracle::decision_coefficients(model, profile);
+    ASSERT_EQ(dag.coeffs.size(), naive.coeffs.size());
+    for (std::size_t j = 0; j < dag.coeffs.size(); ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(dag.coeffs[j]),
+                std::bit_cast<std::uint64_t>(naive.coeffs[j]))
+          << "monomial " << j << " (b0 = " << kernel.b0 << ")";
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dag.constant),
+              std::bit_cast<std::uint64_t>(naive.constant));
   }
 }
 

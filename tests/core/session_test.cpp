@@ -86,6 +86,28 @@ TEST(ProtocolDigest, GoldenHexForServedScenarios) {
             "e9d0aa545949d44fed7a5a23ea84b6c9ef9ee9992cbaa9c507ed6e9f1ed9bd5a");
 }
 
+TEST(ProtocolDigest, BasisDigestBindsTheBasis) {
+  // The handshake binds the monomial basis through the DAG digest make()
+  // computes once: a DAG that differs in one var entry must change the
+  // protocol digest, and a basis without its digest must not hash at all.
+  const auto cfg = SchemeConfig::secure_default();
+  const auto profile =
+      ClassificationProfile::make(4, svm::Kernel::paper_polynomial(4));
+  ASSERT_TRUE(profile.basis_digest.has_value());
+  EXPECT_EQ(*profile.basis_digest,
+            monomial_basis_digest(profile.monomial_dag));
+
+  auto drifted = profile;
+  const std::size_t last = drifted.monomial_dag.size() - 1;
+  drifted.monomial_dag.var[last] = (drifted.monomial_dag.var[last] + 1) % 4;
+  drifted.basis_digest = monomial_basis_digest(drifted.monomial_dag);
+  EXPECT_NE(protocol_digest(profile, cfg), protocol_digest(drifted, cfg));
+
+  auto unbound = profile;
+  unbound.basis_digest.reset();
+  EXPECT_THROW(protocol_digest(unbound, cfg), InvalidArgument);
+}
+
 TEST(Session, AgreedParametersClassifyEndToEnd) {
   const auto model = toy_model();
   const auto profile = ClassificationProfile::make(2, model.kernel());
