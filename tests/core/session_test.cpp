@@ -77,7 +77,7 @@ TEST(ProtocolDigest, GoldenHexForServedScenarios) {
   EXPECT_EQ(to_hex(protocol_digest(linear, SchemeConfig::silent())),
             "3bff482db5e6ab46784342b70b8b937a0193f02475dc768488dfeb7380558963");
   EXPECT_EQ(to_hex(protocol_digest(poly, SchemeConfig::secure_default())),
-            "6e2dc53bff0551dc76277e0f260961b4a6e1a8b9441b6f85fb8051aa451ab536");
+            "e31da116cde50e556cddb8582cceb4d715dc42ddae2ad6fddde57b154965d5f6");
   EXPECT_EQ(to_hex(similarity_digest(svm::Kernel::linear(), space,
                                      SchemeConfig::silent())),
             "91905f8eb12e114fdaf9af6432a108fd2318859a27de79dd4d586a7d13321ed4");
