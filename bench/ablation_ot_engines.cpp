@@ -11,6 +11,7 @@
 /// It also reports wire bytes per query for each engine.
 
 #include <cstdio>
+#include <latch>
 
 #include "bench_util.hpp"
 #include "ppds/common/stopwatch.hpp"
@@ -51,7 +52,10 @@ Result run(const core::SchemeConfig& cfg, std::size_t queries) {
           (outcome.a_sent.bytes + outcome.b_sent.bytes) / queries};
 }
 
-/// Precomputed engine, reporting offline and online separately.
+/// Precomputed engine, reporting offline and online separately. Both halves
+/// are driven by hand: the offline clock runs until BOTH have finished
+/// preparing (the sender derives its pads after the receiver's bundle
+/// arrives), and only the frames sent after that count as online bytes.
 void run_precomputed(std::size_t queries) {
   auto cfg = core::SchemeConfig::fast_simulation();
   cfg.ot_engine = core::OtEngine::kPrecomputed;
@@ -60,48 +64,63 @@ void run_precomputed(std::size_t queries) {
                             {{0.3, -0.8, 0.5, 0.1, -0.2, 0.7, 0.4, -0.6}},
                             {1.0}, 0.05);
   const auto profile = core::ClassificationProfile::make(8, model.kernel());
-  core::ClassificationServer server(model, profile, cfg);
-  core::ClassificationClient client(profile, cfg);
+  const math::MultiPoly decision =
+      core::expand_decision_function(model, profile);
   const std::vector<std::vector<double>> samples(
       queries, {0.1, 0.2, -0.3, 0.4, 0.5, -0.6, 0.7, 0.8});
-  // Split offline/online by driving the OMPE layer directly (mirrors what
-  // ClassificationClient::query_values_batch does internally).
+  const auto demand =
+      core::ot_demand_per_query(cfg.ompe, profile.declared_degree);
+  std::latch prepared(2);
   struct Split {
     double offline_ms;
     double online_ms_per_query;
+    std::uint64_t online_bytes;
   };
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        server.serve(ch, queries, rng);
-        return Split{};
+        return core::run_ot_session(
+            cfg, core::OtRole::kSender, ch, rng, nullptr, demand, queries,
+            [&](core::OtBundle& ot) {
+              prepared.arrive_and_wait();
+              const std::uint64_t offline_bytes = ch.stats().bytes;
+              for (std::size_t i = 0; i < queries; ++i) {
+                // The fresh amplifier ClassificationServer::serve draws.
+                math::MultiPoly amplified = decision;
+                amplified.scale(rng.log_uniform_positive(-8.0, 8.0));
+                ompe::run_sender(ch, amplified, cfg.ompe, ot.sender(), rng,
+                                 profile.declared_degree);
+              }
+              return ch.stats().bytes - offline_bytes;
+            });
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
-        Split split;
         Stopwatch offline;
-        // ClassificationServer::serve stamps its offline frames kOtSetup.
-        ch.set_stage(net::Stage::kOtSetup);
-        core::OtBundle ot(cfg, rng);
-        const auto demand =
-            core::ot_demand_per_query(cfg.ompe, profile.declared_degree);
-        ot.prepare_receiver(ch, demand, queries);
-        split.offline_ms = offline.millis();
-        Stopwatch online;
-        for (const auto& sample : samples) {
-          ompe::run_receiver(ch, profile.transform(sample),
-                             profile.declared_degree, profile.poly_arity,
-                             cfg.ompe, ot.receiver(), rng);
-        }
-        split.online_ms_per_query =
-            online.millis() / static_cast<double>(queries);
-        return split;
+        return core::run_ot_session(
+            cfg, core::OtRole::kReceiver, ch, rng, nullptr, demand, queries,
+            [&](core::OtBundle& ot) {
+              prepared.arrive_and_wait();
+              Split split{};
+              split.offline_ms = offline.millis();
+              const std::uint64_t offline_bytes = ch.stats().bytes;
+              Stopwatch online;
+              for (const auto& sample : samples) {
+                ompe::run_receiver(ch, profile.transform(sample),
+                                   profile.declared_degree, profile.poly_arity,
+                                   cfg.ompe, ot.receiver(), rng);
+              }
+              split.online_ms_per_query =
+                  online.millis() / static_cast<double>(queries);
+              split.online_bytes = ch.stats().bytes - offline_bytes;
+              return split;
+            });
       });
   std::printf("%-22s | %12.3f | %12llu  (+ %.0f ms offline pool for %zu "
               "queries, amortizable)\n",
               "precomputed (online)", outcome.b.online_ms_per_query,
               static_cast<unsigned long long>(
-                  (outcome.a_sent.bytes + outcome.b_sent.bytes) / queries),
+                  (outcome.a + outcome.b.online_bytes) / queries),
               outcome.b.offline_ms, queries);
 }
 
