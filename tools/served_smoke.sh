@@ -8,6 +8,9 @@
 #   3. one ppdsd on diabetes:linear:secure (a fresh DH batch per session);
 #      one connection runs classify, classify and health. Similarity is
 #      left out: at the secure preset's q=8 it can miss the plain value.
+#   4. one ppdsd on diabetes:poly:silent (the handshake binds the monomial
+#      basis through its DAG digest); one connection runs classify,
+#      classify and health. Similarity is left out for the same reason.
 # Fails unless every classify line reports that all samples match the plain
 # model, and every ppdsd exits 0 on SIGTERM with balanced books and every
 # OT pool zeroed.
@@ -96,6 +99,13 @@ stop_daemons
 start_daemon secure diabetes:linear:secure
 out="$("$cli" --connect "unix:$work/secure.sock" \
   --scenario diabetes:linear:secure --seed 7 \
+  classify --count 2 classify --count 2 health)"
+check_classify "$out" 2
+stop_daemons
+
+start_daemon poly diabetes:poly:silent
+out="$("$cli" --connect "unix:$work/poly.sock" \
+  --scenario diabetes:poly:silent --seed 7 \
   classify --count 2 classify --count 2 health)"
 check_classify "$out" 2
 stop_daemons
