@@ -32,8 +32,10 @@
 namespace ppds::core {
 
 /// Canonical digest of every public protocol parameter: profile shape,
-/// kernel hyperparameters, monomial basis, OMPE parameters, OT engine and
-/// group. Two parties with equal digests will interoperate.
+/// kernel hyperparameters, monomial basis (through the profile's
+/// basis_digest, so the cost is O(1) in the basis size), OMPE parameters,
+/// OT engine and group. Two parties with equal digests will interoperate.
+/// Throws InvalidArgument for a basis without a basis digest.
 crypto::Digest protocol_digest(const ClassificationProfile& profile,
                                const SchemeConfig& config);
 

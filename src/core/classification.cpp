@@ -103,18 +103,14 @@ ClassificationProfile ClassificationProfile::make(std::size_t input_dim,
 
 namespace {
 
-void check_dim(const std::vector<double>& sample, std::size_t input_dim) {
-  detail::require(sample.size() == input_dim,
-                  "ClassificationProfile: sample dimension mismatch");
-}
-
 /// t -> tau over \p dag (identity when the DAG is empty). Graded basis:
 /// each monomial is its divisor parent times one variable, so the full
 /// transform costs one multiplication per monomial.
 std::vector<double> transform_one(const math::MonomialDag& dag,
                                   std::size_t input_dim,
                                   const std::vector<double>& sample) {
-  check_dim(sample, input_dim);
+  detail::require(sample.size() == input_dim,
+                  "ClassificationProfile: sample dimension mismatch");
   if (dag.empty()) return sample;
   std::vector<double> tau(dag.size());
   dag.evaluate(std::span<const double>(sample), std::span<double>(tau));
@@ -128,7 +124,8 @@ std::vector<std::vector<double>> transform_many(
   out.reserve(samples.size());
   if (dag.empty()) {
     for (const std::vector<double>& sample : samples) {
-      check_dim(sample, input_dim);
+      detail::require(sample.size() == input_dim,
+                      "ClassificationProfile: sample dimension mismatch");
       out.push_back(sample);
     }
     return out;
@@ -143,7 +140,8 @@ std::vector<std::vector<double>> transform_many(
   std::size_t s0 = 0;
   for (; s0 + kLanes <= samples.size(); s0 += kLanes) {
     for (std::size_t b = 0; b < kLanes; ++b) {
-      check_dim(samples[s0 + b], input_dim);
+      detail::require(samples[s0 + b].size() == input_dim,
+                      "ClassificationProfile: sample dimension mismatch");
     }
     for (std::size_t i = 0; i < nodes; ++i) {
       const std::uint32_t parent = dag.parent[i];
