@@ -42,8 +42,8 @@ struct ClassificationProfile {
   /// ascending-variable product order, so bitwise-identical to that walk.
   math::MonomialDag monomial_dag;
   /// monomial_basis_digest(monomial_dag), computed once in make(): the
-  /// handshake binds the basis through these 32 bytes instead of hashing
-  /// the exponent stream every session. Unset when there is no basis.
+  /// handshake binds the basis through these 32 bytes, so session setup is
+  /// O(1) in the basis size. Unset when there is no basis.
   std::optional<crypto::Digest> basis_digest;
 
   /// Builds the profile both parties agree on. \p taylor_order is the

@@ -266,11 +266,13 @@ LinearExpansion expand_decision_coefficients(
   detail::require(dag.size() == profile.monomials.size(),
                   "expand_decision_coefficients: basis without its DAG");
   // One DAG sweep per support vector, seeded with c_s: node j holds
-  // c_s * prod x_s^kappa_j, multiplied in the ascending-variable order of
-  // the power walk, and the sums run in ascending s, so sv_sums matches
-  // the per-monomial loop bit for bit.
+  // c_s * prod x_s^kappa_j, multiplied in ascending-variable order, and the
+  // sums run in ascending s, so sv_sums matches the per-monomial power walk
+  // (the test oracle) bit for bit.
   std::vector<double> sv_sums(dag.size(), 0.0);
   std::vector<double> prods(dag.size());
+  const ScopedWipe sums_guard(sv_sums);  // model-derived partial sums
+  const ScopedWipe prods_guard(prods);
   for (std::size_t s = 0; s < svs.size(); ++s) {
     const math::Vec& x = svs[s];
     for (std::size_t j = 0; j < dag.size(); ++j) {
