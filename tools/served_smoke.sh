@@ -10,7 +10,8 @@
 #      left out: at the secure preset's q=8 it can miss the plain value.
 #   4. one ppdsd on diabetes:poly:silent (the handshake binds the monomial
 #      basis through its DAG digest); one connection runs classify,
-#      classify and health. Similarity is left out for the same reason.
+#      classify and health. Similarity is left out while ROADMAP item 2
+#      (similarity at the default privacy shape) is open.
 # Fails unless every classify line reports that all samples match the plain
 # model, and every ppdsd exits 0 on SIGTERM with balanced books and every
 # OT pool zeroed.
